@@ -6,6 +6,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .corpus import Review
@@ -89,12 +90,31 @@ def _normalize_phrase(phrase: str) -> str:
 
 @dataclass(frozen=True)
 class AspectVocabulary:
-    """Per-aspect phrase sets, lowercase and single-space normalized."""
+    """Per-aspect phrase sets, lowercase and single-space normalized.
+
+    ``phrases`` must not change once the vocabulary has matched a review:
+    the phrase index is built from it on first use and kept.
+    """
 
     phrases: dict  # aspect-id -> frozenset of phrases
 
     def for_aspect(self, aspect_id: str) -> frozenset:
         return self.phrases.get(aspect_id, frozenset())
+
+    @cached_property
+    def phrase_index(self) -> dict:
+        """First phrase token -> [(remaining tokens, phrase, aspect position in ASPECT_SET_16)].
+
+        Phrases split on single spaces, so a phrase with a doubled, leading or
+        trailing space gets an empty token, which no review token equals, and
+        never matches.
+        """
+        index: dict = {}
+        for position, aspect_id in enumerate(ASPECT_SET_16):
+            for phrase in self.for_aspect(aspect_id):
+                head, *rest = phrase.split(" ")
+                index.setdefault(head, []).append((rest, phrase, position))
+        return index
 
 
 @dataclass(frozen=True)
@@ -145,14 +165,23 @@ def match_aspects(review: Review, vocab: AspectVocabulary) -> list[AspectMatch]:
     A k-token phrase matches k consecutive review tokens; a review may match
     several aspects or none.
     """
-    tokens = _tokenize(review.text)
-    joined = " " + " ".join(tokens) + " "
-    matches = []
-    for aspect_id in ASPECT_SET_16:
-        hits = {p for p in vocab.for_aspect(aspect_id) if f" {p} " in joined}
-        if hits:
-            matches.append(AspectMatch(review.id, aspect_id, frozenset(hits)))
-    return matches
+    index = vocab.phrase_index
+    # The empty phrase occurs in exactly the reviews without tokens; a lone
+    # empty token lets the loop find it there.
+    tokens = _tokenize(review.text) or [""]
+    hits: dict = {}
+    for start, token in enumerate(tokens):
+        entries = index.get(token)
+        if entries is None:
+            continue
+        after = start + 1
+        for rest, phrase, position in entries:
+            if not rest or tokens[after:after + len(rest)] == rest:
+                hits.setdefault(position, set()).add(phrase)
+    return [
+        AspectMatch(review.id, ASPECT_SET_16[position], frozenset(hits[position]))
+        for position in sorted(hits)
+    ]
 
 
 def _default_stopwords() -> frozenset:

@@ -117,9 +117,13 @@ def resolve_aspect_set(value) -> list:
 
 
 def load_inputs(cfg: PipelineConfig):
-    """Parse reviews, revenue, vocabulary, lexicon, and heuristics per config."""
+    """Parse reviews, revenue, vocabulary, lexicon, and heuristics per config.
+
+    A reviews path ending in ``.csv`` is read as CSV, any other as JSONL.
+    """
+    reviews_format = "csv" if Path(cfg.reviews_path).suffix == ".csv" else "jsonl"
     try:
-        reviews = corpus_mod.parse_reviews(Path(cfg.reviews_path).read_bytes(), "jsonl")
+        reviews = corpus_mod.parse_reviews(Path(cfg.reviews_path).read_bytes(), reviews_format)
     except (OSError, corpus_mod.CorpusError) as e:
         raise StageError("ingest", f"{cfg.reviews_path}: {e}") from None
     try:
@@ -154,13 +158,10 @@ def score_reviews(reviews, lexicon, heuristics):
 
 def build_perceptions(reviews, scores, vocab):
     """Per-(aspect, quarter) perception records over the matched reviews."""
-    compound_by_review = {r.id: s.compound for r, s in zip(reviews, scores)}
     buckets: dict = {}
-    for review in reviews:
+    for review, score in zip(reviews, scores, strict=True):
         for match in aspects_mod.match_aspects(review, vocab):
-            buckets.setdefault((match.aspect_id, review.quarter), []).append(
-                compound_by_review[review.id]
-            )
+            buckets.setdefault((match.aspect_id, review.quarter), []).append(score.compound)
     return [
         features_mod.perception(aspect_id, quarter, compounds)
         for (aspect_id, quarter), compounds in sorted(

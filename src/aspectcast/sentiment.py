@@ -107,6 +107,8 @@ _DAMPENERS = {
     "slightly", "somewhat", "barely", "hardly", "marginally", "kinda",
     "fairly", "moderately", "partly", "occasionally", "sort", "kind",
 }
+# degree modifier -> True for a booster, False for a dampener
+_DEGREE = {**dict.fromkeys(_DAMPENERS, False), **dict.fromkeys(_BOOSTERS, True)}
 _NEGATIONS = {
     "not", "no", "never", "none", "neither", "nor", "cannot", "cant",
     "dont", "doesnt", "didnt", "isnt", "wasnt", "arent", "werent", "wont",
@@ -136,54 +138,58 @@ def normalize_valence_sum(total: float, alpha: float = 15.0) -> float:
     return max(-1.0, min(1.0, total / math.sqrt(total * total + alpha)))
 
 
+def _is_caps(word: str) -> bool:
+    return word.isupper() and any(c.isalpha() for c in word)
+
+
 def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None = None) -> SentimentScores:
     """Score one text; unknown tokens are neutral, empty text scores all zeros."""
     cfg = config or HeuristicConfig()
-    raw_tokens = text.split()
-    words = [_clean(t) for t in raw_tokens]
-    keep = [i for i, w in enumerate(words) if w]
-    if not keep:
-        return SentimentScores(0.0, 0.0, 0.0, 0.0)
-    raw_tokens = [raw_tokens[i] for i in keep]
-    words = [words[i] for i in keep]
+    # _clean leaves a token made only of letters and digits unchanged
+    words = [t if t.isalnum() else _clean(t) for t in text.split()]
+    if not all(words):
+        words = [w for w in words if w]
+        if not words:
+            return SentimentScores(0.0, 0.0, 0.0, 0.0)
     lowered = [w.lower() for w in words]
 
-    is_caps = [w.isupper() and any(c.isalpha() for c in w) for w in words]
-    letter_flags = [c for c, w in zip(is_caps, words) if any(ch.isalpha() for ch in w)]
-    # caps emphasis only applies when the text is mixed-case (not shouting throughout)
-    mixed_case = bool(letter_flags) and not all(letter_flags)
+    # Only lexicon hits (tokens with a nonzero valence) carry valence; every
+    # other token scores 0.0 and adds nothing to the sums below, so the
+    # heuristics run at the hits alone.
+    hits = [(i, v) for i, v in enumerate(map(lexicon.get, lowered)) if v]
+    # caps emphasis only applies when the text is mixed-case (not shouting
+    # throughout): some token with a letter is not all caps
+    mixed_case = bool(hits) and any(
+        not w.isupper() and any(c.isalpha() for c in w) for w in words
+    )
 
     valences = []
-    for i, word in enumerate(lowered):
-        v = lexicon.get(word, 0.0)
-        if v != 0.0:
-            sign = 1.0 if v > 0 else -1.0
-            if mixed_case and is_caps[i]:
-                v += sign * cfg.caps_boost
-            # degree modifiers in the few tokens before this one
-            for dist in range(1, min(3, i) + 1):
-                prev = lowered[i - dist]
-                scalar = 0.0
-                if prev in _BOOSTERS:
-                    scalar = cfg.degree_increment
-                elif prev in _DAMPENERS:
-                    scalar = -cfg.degree_increment
-                if scalar != 0.0:
-                    scalar *= _DISTANCE_DECAY[dist - 1]
-                    if mixed_case and is_caps[i - dist]:
-                        scalar += math.copysign(cfg.caps_boost * 0.25, scalar)
-                    v += sign * scalar
-            # negation within the window before this token
-            lo = max(0, i - cfg.negation_window)
-            if any(lowered[j] in _NEGATIONS for j in range(lo, i)):
-                v *= cfg.negation_factor
+    for i, v in hits:
+        sign = 1.0 if v > 0 else -1.0
+        if mixed_case and _is_caps(words[i]):
+            v += sign * cfg.caps_boost
+        # degree modifiers in the few tokens before this one
+        for dist in range(1, min(3, i) + 1):
+            booster = _DEGREE.get(lowered[i - dist])
+            if booster is None:
+                continue
+            scalar = cfg.degree_increment if booster else -cfg.degree_increment
+            if scalar != 0.0:
+                scalar *= _DISTANCE_DECAY[dist - 1]
+                if mixed_case and _is_caps(words[i - dist]):
+                    scalar += math.copysign(cfg.caps_boost * 0.25, scalar)
+                v += sign * scalar
+        # negation within the window before this token
+        lo = max(0, i - cfg.negation_window)
+        if not _NEGATIONS.isdisjoint(lowered[lo:i]):
+            v *= cfg.negation_factor
         valences.append(v)
 
     if "but" in lowered:
         pivot = lowered.index("but")
         valences = [
             v * (cfg.but_weight_before if i < pivot else cfg.but_weight_after if i > pivot else 1.0)
-            for i, v in enumerate(valences)
+            for (i, _), v in zip(hits, valences)
         ]
 
     total = sum(valences)
@@ -199,7 +205,7 @@ def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None
     # tokens mass 1; punctuation emphasis is credited to the dominant pole
     pos_mass = sum(v + 1.0 for v in valences if v > 0)
     neg_mass = sum(-v + 1.0 for v in valences if v < 0)
-    neu_mass = float(sum(1 for v in valences if v == 0))
+    neu_mass = float(len(words) - len(valences) + sum(1 for v in valences if v == 0))
     if total > 0:
         pos_mass += emphasis
     elif total < 0:

@@ -1,8 +1,20 @@
+import csv
+import hashlib
 import json
+from importlib import resources
 
 import pytest
 
 from aspectcast.cli import main
+
+REPORT_FILES = ("report.csv", "report.json", "plot_data.csv")
+
+# sha256 of the default `aspectcast pipeline` reports on the bundled corpus
+BUNDLED_DIGESTS = {
+    "report.csv": "8387b0498b26b7afee5bd4c587c64fb556a04413af581d97ad50ccdbdac5413b",
+    "report.json": "fd9fb4e40b745640e3c21db8939e2c6f7937a7ec49266fe155b5aaca1e42cd2c",
+    "plot_data.csv": "1f99e9d061b49a3f4d4780fa7df3c1e592c0844017ba73926867fba91a049bb6",
+}
 
 
 def write_small_corpus(tmp_path, quarters=8):
@@ -103,6 +115,28 @@ class TestStages:
         assert report[1].startswith("ARIMA,")
         assert (out / "report.json").exists()
         assert (out / "plot_data.csv").exists()
+
+
+class TestBundledReports:
+    def test_pinned_digests(self, tmp_path):
+        assert main(["pipeline", "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in REPORT_FILES}
+        assert digests == BUNDLED_DIGESTS
+
+    def test_csv_corpus_matches_jsonl(self, tmp_path):
+        data = resources.files("aspectcast").joinpath("data/synthetic/reviews.jsonl").read_text("utf-8")
+        records = [json.loads(line) for line in data.splitlines() if line.strip()]
+        with open(tmp_path / "reviews.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, ["id", "quarter", "text", "source"])
+            writer.writeheader()
+            writer.writerows(records)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"reviews": "reviews.csv"}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "csv")]) == 0
+        assert main(["pipeline", "--out", str(tmp_path / "jsonl")]) == 0
+        for name in REPORT_FILES:
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "jsonl" / name).read_bytes()
 
 
 class TestErrors:

@@ -1,0 +1,325 @@
+"""Differential tests: the indexed phrase matcher and the hit-only sentiment loop
+against frozen copies of the straightforward implementations they replaced.
+
+Both must agree bit for bit, signed zeros included, because report bytes are
+pinned downstream.
+"""
+
+import json
+import math
+import re
+from dataclasses import astuple
+from importlib import resources
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from aspectcast.aspects import (
+    ASPECT_SET_16,
+    AspectMatch,
+    AspectVocabulary,
+    default_vocabulary,
+    load_vocabulary,
+    match_aspects,
+)
+from aspectcast.corpus import Quarter, Review, parse_reviews
+from aspectcast.sentiment import (
+    _BOOSTERS,
+    _DAMPENERS,
+    _DISTANCE_DECAY,
+    _NEGATIONS,
+    HeuristicConfig,
+    SentimentScores,
+    _punctuation_emphasis,
+    analyze,
+    default_lexicon,
+    normalize_valence_sum,
+)
+
+
+# --- frozen references -------------------------------------------------------
+
+_REF_CLEAN_RE = re.compile(r"^\W+|\W+$")
+
+
+def _ref_clean(token):
+    return _REF_CLEAN_RE.sub("", token).replace("'", "")
+
+
+def reference_analyze(text, lexicon, config=None):
+    """The per-token scorer: every token is cleaned, flagged and weighted."""
+    cfg = config or HeuristicConfig()
+    raw_tokens = text.split()
+    words = [_ref_clean(t) for t in raw_tokens]
+    keep = [i for i, w in enumerate(words) if w]
+    if not keep:
+        return SentimentScores(0.0, 0.0, 0.0, 0.0)
+    words = [words[i] for i in keep]
+    lowered = [w.lower() for w in words]
+
+    is_caps = [w.isupper() and any(c.isalpha() for c in w) for w in words]
+    letter_flags = [c for c, w in zip(is_caps, words) if any(ch.isalpha() for ch in w)]
+    mixed_case = bool(letter_flags) and not all(letter_flags)
+
+    valences = []
+    for i, word in enumerate(lowered):
+        v = lexicon.get(word, 0.0)
+        if v != 0.0:
+            sign = 1.0 if v > 0 else -1.0
+            if mixed_case and is_caps[i]:
+                v += sign * cfg.caps_boost
+            for dist in range(1, min(3, i) + 1):
+                prev = lowered[i - dist]
+                scalar = 0.0
+                if prev in _BOOSTERS:
+                    scalar = cfg.degree_increment
+                elif prev in _DAMPENERS:
+                    scalar = -cfg.degree_increment
+                if scalar != 0.0:
+                    scalar *= _DISTANCE_DECAY[dist - 1]
+                    if mixed_case and is_caps[i - dist]:
+                        scalar += math.copysign(cfg.caps_boost * 0.25, scalar)
+                    v += sign * scalar
+            lo = max(0, i - cfg.negation_window)
+            if any(lowered[j] in _NEGATIONS for j in range(lo, i)):
+                v *= cfg.negation_factor
+        valences.append(v)
+
+    if "but" in lowered:
+        pivot = lowered.index("but")
+        valences = [
+            v * (cfg.but_weight_before if i < pivot else cfg.but_weight_after if i > pivot else 1.0)
+            for i, v in enumerate(valences)
+        ]
+
+    total = sum(valences)
+    emphasis = _punctuation_emphasis(text, cfg)
+    if total > 0:
+        total += emphasis
+    elif total < 0:
+        total -= emphasis
+    compound = normalize_valence_sum(total, cfg.alpha)
+
+    pos_mass = sum(v + 1.0 for v in valences if v > 0)
+    neg_mass = sum(-v + 1.0 for v in valences if v < 0)
+    neu_mass = float(sum(1 for v in valences if v == 0))
+    if total > 0:
+        pos_mass += emphasis
+    elif total < 0:
+        neg_mass += emphasis
+    denom = pos_mass + neg_mass + neu_mass
+    if denom == 0:
+        return SentimentScores(0.0, 0.0, 0.0, compound)
+    return SentimentScores(pos_mass / denom, neu_mass / denom, neg_mass / denom, compound)
+
+
+_REF_TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def reference_match(review, vocab):
+    """The substring matcher: every phrase of every aspect against the joined tokens."""
+    tokens = _REF_TOKEN_RE.findall(review.text.lower())
+    joined = " " + " ".join(tokens) + " "
+    matches = []
+    for aspect_id in ASPECT_SET_16:
+        hits = {p for p in vocab.for_aspect(aspect_id) if f" {p} " in joined}
+        if hits:
+            matches.append(AspectMatch(review.id, aspect_id, frozenset(hits)))
+    return matches
+
+
+def bits(scores):
+    """Exact form of a score: repr keeps the sign of zero and every digit."""
+    return tuple(repr(x) for x in astuple(scores))
+
+
+def assert_same_scores(text, lexicon, cfg=None):
+    assert bits(analyze(text, lexicon, cfg)) == bits(reference_analyze(text, lexicon, cfg)), text
+
+
+def bundled_reviews():
+    data = resources.files("aspectcast").joinpath("data/synthetic/reviews.jsonl").read_bytes()
+    return parse_reviews(data, "jsonl")
+
+
+def review(text):
+    return Review("r1", Quarter(2016, 4), text)
+
+
+# --- sentiment ---------------------------------------------------------------
+
+LEXICON = default_lexicon()
+# A lexicon that also scores non-ASCII and digit tokens, holds zero valences
+# (which are not hits) and a valence a dampener cancels to exactly 0.0, which a
+# negation then turns into -0.0.
+ODD_LEXICON = dict(LEXICON, **{
+    "straße": 1.5, "ⓐ": 2.0, "ⅻ": 1.1, "naïve": -1.2, "404": -2.5, "3g": 0.7,
+    "meh": 0.0, "blah": -0.0, "meek": 0.293,
+})
+
+TOKENS = sorted(
+    ["good", "bad", "great", "terrible", "happy", "slow", "reliable", "outage", "meek",
+     "meh", "blah", "the", "cloud", "team", "support", "but", "but", "BUT", "But",
+     "don't", "isn't", "can't", "team's", "'quoted'", "!!!", "?", "...", "'", "--", "(", ")",
+     "42", "404", "3g", "2016Q4", "ß", "straße", "STRASSE", "Ⓐ", "ⓐ", "Ⅻ", "naïve", "NAÏVE",
+     "éclair", "_", "a_b"]
+    + sorted(_BOOSTERS) + sorted(_DAMPENERS) + sorted(_NEGATIONS)
+)
+CASES = st.sampled_from(["lower", "upper", "title", "keep"])
+AFFIXES = st.sampled_from(["", "", "", "!", "?", ".", ",", "'", '"', "!!", "?!", "(", "):"])
+SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\n"])
+
+
+@st.composite
+def review_texts(draw):
+    parts = draw(st.lists(st.tuples(st.sampled_from(TOKENS), CASES, AFFIXES, AFFIXES, SEPARATORS),
+                          max_size=24))
+    out = []
+    for token, case, prefix, suffix, sep in parts:
+        if case != "keep":
+            token = getattr(token, case)()
+        out.append(prefix + token + suffix + sep)
+    return "".join(out)
+
+
+CONFIGS = st.builds(
+    HeuristicConfig,
+    negation_window=st.integers(1, 5),
+    degree_increment=st.sampled_from([0.0, 0.293, 1.0]),
+    caps_boost=st.sampled_from([0.0, 0.733, 2.0]),
+    but_weight_before=st.sampled_from([0.0, 0.5, 1.0]),
+)
+
+
+class TestAnalyzeEquivalence:
+    def test_bundled_corpus(self):
+        reviews = bundled_reviews()
+        assert len(reviews) == 224
+        for r in reviews:
+            assert_same_scores(r.text, LEXICON)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "   \t\n ",
+        "!!! ??? ...",
+        "' '' '''",
+        "GOOD",
+        "GOOD service",
+        "VERY good service",
+        "Ⓐ GOOD",
+        "the Ⅻ service",        # upper case but no letter: not a caps token
+        "the VERY Ⅻ good",
+        "ß GOOD",
+        "42 GOOD",
+        "not x y good",         # negation three tokens back: inside the window
+        "not x y z good",       # four tokens back: outside it
+        "not slightly meek",    # exact cancellation, then negation: -0.0
+        "slightly meek but meh",
+        "good but bad but great",
+        "but good",
+        "good but",
+        "don't like it but it's great!!",
+        "team's great?? really??",
+    ])
+    def test_examples(self, text):
+        assert_same_scores(text, LEXICON)
+        assert_same_scores(text, ODD_LEXICON)
+
+    @given(review_texts())
+    @example("not one two great and never a b c bad")
+    @example("BUT but But good")
+    @settings(max_examples=400, deadline=None)
+    def test_generated_texts(self, text):
+        assert_same_scores(text, ODD_LEXICON)
+
+    @given(review_texts(), CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_configs(self, text, cfg):
+        assert_same_scores(text, ODD_LEXICON, cfg)
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_unicode(self, text):
+        assert_same_scores(text, ODD_LEXICON)
+
+
+# --- aspect matching ---------------------------------------------------------
+
+VOCAB = default_vocabulary()
+# Phrases as a caller may construct them directly, without load_vocabulary's
+# normalization: doubled, leading and trailing spaces, the empty phrase, and
+# phrases that overlap or share a first token.
+RAW_VOCAB = AspectVocabulary(phrases={
+    "provider_lock_in": frozenset({"lock in", "locked in", "vendor lock", "lock", "lock  in",
+                                   " lock in", "lock in ", "lock-in", ""}),
+    "cost_savings": frozenset({"pay as you go", "pay as", "as you go", "go", "cost"}),
+    "after_sales_experience": frozenset({"after-sales", "after sales", "support"}),
+    "higher_availability": frozenset({"404", "24 7", "99 9"}),
+    "security_concerns": frozenset({"lock"}),  # a phrase shared by two aspects
+})
+SPACED_VOCAB = load_vocabulary(json.dumps({
+    "provider_lock_in": ["lock   in", "  vendor  lock ", "locked\tin"],
+    "cost_savings": ["pay  as  you  go"],
+}).encode())
+
+MATCH_TEXTS = [
+    "vendor lock in is real: locked in, lock in, LOCK-IN",
+    "lock in",
+    "in lock vendor",
+    "Lock in at the start and lock in at the end lock in",
+    "pay as you go as you go pay as",
+    "Support support SUPPORT",
+    "after-sales support and after sales care",
+    "404 errors 24/7 and 99.9% uptime",
+    "up-scale and down-scale, upscale",
+    "!!!",
+    "lock",
+    "costly cost-effective costs",
+]
+
+
+def assert_same_matches(text, vocab):
+    r = review(text)
+    assert match_aspects(r, vocab) == reference_match(r, vocab), text
+
+
+class TestMatchEquivalence:
+    def test_bundled_corpus(self):
+        for r in bundled_reviews():
+            assert match_aspects(r, VOCAB) == reference_match(r, VOCAB)
+
+    @pytest.mark.parametrize("text", MATCH_TEXTS)
+    @pytest.mark.parametrize("vocab", [VOCAB, RAW_VOCAB, SPACED_VOCAB],
+                             ids=["default", "raw", "spaced"])
+    def test_adversarial(self, text, vocab):
+        assert_same_matches(text, vocab)
+
+    def test_hyphenated_phrases_never_match(self):
+        # The tokenizer splits on "-", so the vocabulary's hyphenated phrases
+        # (up-scale, down-scale, lock-in, after-sales) are dead; a hyphenated
+        # review mention is matched only through other phrases.
+        dead = {"up-scale", "down-scale", "lock-in", "after-sales"}
+        assert dead <= {p for a in ASPECT_SET_16 for p in VOCAB.for_aspect(a)}
+        matches = match_aspects(review("after-sales, up-scale, down-scale and lock-in"), VOCAB)
+        assert not dead & {p for m in matches for p in m.matched_phrases}
+        assert {m.aspect_id: m.matched_phrases for m in matches} == {
+            "greater_scalability": {"scale"},
+            "provider_lock_in": {"lock in"},
+        }
+
+    def test_index_built_on_first_match(self):
+        vocab = load_vocabulary(b'{"cost_savings":["cheap"]}')
+        assert "phrase_index" not in vocab.__dict__
+        match_aspects(review("cheap"), vocab)
+        assert "phrase_index" in vocab.__dict__
+
+    @given(st.lists(st.sampled_from(
+        ["lock", "in", "locked", "vendor", "pay", "as", "you", "go", "support", "after", "sales",
+         "404", "24", "7", "the", "-", "LOCK", "In", "cost", "costs", "scale", "up"]),
+        min_size=1, max_size=16), st.lists(SEPARATORS | st.sampled_from(["-", "/", ", "]), min_size=16,
+                               max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_texts(self, words, seps):
+        text = "".join(w + s for w, s in zip(words, seps))
+        for vocab in (VOCAB, RAW_VOCAB, SPACED_VOCAB):
+            assert_same_matches(text, vocab)
