@@ -26,7 +26,6 @@ from .models import (
     fit_mlp,
     fit_nusvr,
     forecast_arima,
-    grid_search,
     load_reference_model,
     predict_lr,
 )

@@ -18,7 +18,7 @@ __all__ = [
     "group_by_quarter",
 ]
 
-_QUARTER_RE = re.compile(r"^(\d{4})Q([1-9])$")
+_QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
 
 
 class CorpusError(ValueError):
@@ -41,10 +41,7 @@ class Quarter:
         m = _QUARTER_RE.match(label.strip())
         if not m:
             raise CorpusError(f"invalid quarter label: {label!r} (expected YYYYQn)")
-        year, index = int(m.group(1)), int(m.group(2))
-        if index > 4:
-            raise CorpusError(f"invalid quarter index in {label!r}")
-        return cls(year, index)
+        return cls(int(m.group(1)), int(m.group(2)))
 
     def next(self) -> "Quarter":
         if self.index == 4:

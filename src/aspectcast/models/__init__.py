@@ -1,4 +1,4 @@
-"""Four forecasters behind one contract, plus grid search and serialization."""
+"""Four forecasters behind one contract, plus serialization."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..features import FeatureMatrix, GrowthSeries, chronological_split
+from ..features import FeatureMatrix
 from .arima import ArimaModel, fit_arima, forecast_arima
 from .linear import FitError, LinearModel, fit_lr, predict_lr
 from .mlp import MlpModel, MlpSpec, fit_mlp, mlp_residual_fn
@@ -31,13 +31,20 @@ __all__ = [
     "forecast_arima",
     "fit_spec",
     "predict_with",
-    "grid_search",
     "model_to_json",
     "model_from_json",
     "load_reference_model",
 ]
 
-KINDS = ("lr", "mlp", "svr", "arima")
+# The params each kind takes; fit_spec rejects any other, so a typo fails
+# instead of silently fitting the default.
+PARAMS = {
+    "lr": ("selection", "threshold"),
+    "mlp": ("hidden_size", "max_epochs", "lambda0", "validation_patience"),
+    "svr": ("gamma", "nu", "C"),
+    "arima": ("orders",),
+}
+KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,9 @@ class ForecasterSpec:
 def fit_spec(spec: ForecasterSpec, data):
     """Fit one spec on a FeatureMatrix (lr/mlp/svr) or growth values (arima)."""
     p = spec.param_dict()
+    unknown = sorted(set(p).difference(PARAMS[spec.kind]))
+    if unknown:
+        raise FitError(f"unknown {spec.kind} params {unknown}; it takes {list(PARAMS[spec.kind])}")
     if spec.kind == "lr":
         return fit_lr(data, selection=p.get("selection", "all"), threshold=p.get("threshold", 0.3))
     if spec.kind == "mlp":
@@ -89,41 +99,7 @@ def predict_with(model, test: FeatureMatrix) -> np.ndarray:
     """Predictions aligned with the rows of ``test`` for any fitted model."""
     if isinstance(model, ArimaModel):
         return forecast_arima(model, test.n_rows)
-    if isinstance(model, LinearModel):
-        return model.predict(test)
     return model.predict(test)
-
-
-def grid_search(specs, data, score_fn, split_ratio=(2, 1)):
-    """Fit each spec, score on the held-out chronological tail, rank ascending.
-
-    A spec that fails to fit is recorded with its error message and ranked
-    after every successful one; ties keep input order.
-    """
-    if not specs:
-        raise FitError("grid_search needs at least one spec")
-    results = []
-    for order, spec in enumerate(specs):
-        try:
-            if spec.kind == "arima":
-                values = data.as_array() if isinstance(data, GrowthSeries) else np.asarray(data, float)
-                n = len(values)
-                import math
-
-                n_train = min(math.ceil(n * split_ratio[0] / sum(split_ratio)), n - 1)
-                model = fit_spec(spec, values[:n_train])
-                predicted = forecast_arima(model, n - n_train)
-                actual = values[n_train:]
-            else:
-                train, test = chronological_split(data, split_ratio)
-                model = fit_spec(spec, train)
-                predicted = predict_with(model, test)
-                actual = test.y
-            results.append((spec, float(score_fn(actual, predicted)), None, order))
-        except Exception as e:  # ranked last, with the failure preserved
-            results.append((spec, float("inf"), str(e), order))
-    results.sort(key=lambda r: (r[1], r[3]))
-    return [(spec, score, error) for spec, score, error, _ in results]
 
 
 def load_reference_model(name: str) -> LinearModel:

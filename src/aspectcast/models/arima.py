@@ -41,9 +41,13 @@ def _difference(y: np.ndarray, d: int):
 
 
 def _css_residuals(w: np.ndarray, constant: float, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
+    # Python floats do the same IEEE-754 binary64 arithmetic as NumPy float64
+    # scalars, in the same order, at a fraction of the per-element cost.
+    w, ar, ma = (np.asarray(v, dtype=float).tolist() for v in (w, ar, ma))
+    constant = float(constant)
     p, q = len(ar), len(ma)
     n = len(w)
-    eps = np.zeros(n)
+    eps = [0.0] * n
     for t in range(p, n):
         pred = constant
         for i in range(p):
@@ -52,7 +56,7 @@ def _css_residuals(w: np.ndarray, constant: float, ar: np.ndarray, ma: np.ndarra
             if t - 1 - j >= 0:
                 pred += ma[j] * eps[t - 1 - j]
         eps[t] = w[t] - pred
-    return eps
+    return np.array(eps)
 
 
 def _split_params(params, p, q, use_const):
@@ -98,8 +102,7 @@ def fit_arima(series, orders: tuple) -> ArimaModel:
         return _css_residuals(w, c, ar, ma)[p:]
 
     def residual_fn(params):
-        r = residual_only(params)
-        return r, numeric_jacobian(residual_only, params)
+        return residual_only(params), lambda: numeric_jacobian(residual_only, params)
 
     start = np.zeros(n_params)
     if use_const:

@@ -1,7 +1,9 @@
 """Damped least-squares (Levenberg-Marquardt) stepping on residual functions.
 
 A residual function maps a parameter vector to (residuals, Jacobian). The
-objective throughout is half the sum of squared residuals.
+Jacobian may be an array or a zero-argument callable that computes it: a
+callable is invoked only at the point a step is taken from, never at trial
+points. The objective throughout is half the sum of squared residuals.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ def lm_step(params, residual_fn, lam, lam_max=1e12):
     """
     params = np.asarray(params, dtype=float)
     r, J = residual_fn(params)
+    if callable(J):
+        J = J()
     r = np.asarray(r, dtype=float)
     J = np.atleast_2d(np.asarray(J, dtype=float))
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
@@ -73,15 +77,14 @@ def lm_minimize(params, residual_fn, lam0=1e-3, max_steps=200, tol=1e-12):
 
 
 def numeric_jacobian(fn, params, step=1e-6):
-    """Central-difference Jacobian of a residual-only function."""
+    """Central-difference Jacobian of a residual-only function: 2 * len(params) calls of ``fn``."""
     params = np.asarray(params, dtype=float)
-    r0 = np.asarray(fn(params), dtype=float)
-    J = np.zeros((r0.size, params.size))
+    columns = []
     for j in range(params.size):
         h = step * max(1.0, abs(params[j]))
         up = params.copy()
         dn = params.copy()
         up[j] += h
         dn[j] -= h
-        J[:, j] = (np.asarray(fn(up)) - np.asarray(fn(dn))) / (2.0 * h)
-    return J
+        columns.append((np.asarray(fn(up), dtype=float) - np.asarray(fn(dn), dtype=float)) / (2.0 * h))
+    return np.column_stack(columns)

@@ -13,7 +13,7 @@ from . import features as features_mod
 from . import sentiment as sentiment_mod
 from .evaluation import EvalReport, backtest
 from .features import FeatureMatrix, GrowthSeries
-from .models import ForecasterSpec
+from .models import PARAMS, ForecasterSpec
 
 __all__ = ["PipelineConfig", "StageError", "load_inputs", "score_reviews",
            "build_perceptions", "build_matrix", "run_pipeline", "DEFAULT_MODELS"]
@@ -38,6 +38,20 @@ DEFAULT_MODELS = [
     {"kind": "svr", "label": "SVM-13", "aspects": 13},
     {"kind": "svr", "label": "SVM-16", "aspects": 16},
 ]
+
+
+CONFIG_KEYS = frozenset({"reviews", "revenue", "vocabulary", "lexicon", "heuristics", "aspects",
+                         "include_lag", "split_ratio", "seed", "models", "out"})
+# keys of a ``models`` entry besides the params of its kind
+MODEL_ENTRY_KEYS = frozenset({"kind", "label", "aspects", "seed"})
+
+
+def _check_model_entry(entry) -> None:
+    if not isinstance(entry, dict) or entry.get("kind") not in PARAMS:
+        raise StageError("config", f"model entry needs a kind out of {list(PARAMS)}: {entry!r}")
+    unknown = sorted(set(entry) - MODEL_ENTRY_KEYS - set(PARAMS[entry["kind"]]))
+    if unknown:
+        raise StageError("config", f"unknown keys {unknown} in model {entry.get('label', entry['kind'])!r}")
 
 
 def _bundled(name: str) -> Path:
@@ -72,6 +86,12 @@ class PipelineConfig:
         for key, value in (overrides or {}).items():
             if value is not None:
                 merged[key] = value
+        unknown = sorted(set(merged) - CONFIG_KEYS)
+        if unknown:
+            raise StageError("config", f"unknown config keys {unknown}")
+        models = merged.get("models", DEFAULT_MODELS)
+        for entry in models:
+            _check_model_entry(entry)
 
         def resolve(key, default=None):
             value = merged.get(key, default)
@@ -94,7 +114,7 @@ class PipelineConfig:
             include_lag=bool(merged.get("include_lag", True)),
             split_ratio=tuple(merged.get("split_ratio", (2, 1))),
             seed=int(merged.get("seed", 0)),
-            models=[dict(m) for m in merged.get("models", DEFAULT_MODELS)],
+            models=[dict(m) for m in models],
             out_dir=Path(merged.get("out", "out")),
         )
 

@@ -152,6 +152,39 @@ class TestErrors:
         assert main(["pipeline", "--config", str(config)]) == 1
         assert "error [config]" in capsys.readouterr().err
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aspect": 13}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error [config]" in err and "'aspect'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry, named", [
+        ({"kind": "svr", "label": "SVM", "gama": 5}, "'gama'"),
+        ({"kind": "arima", "order": [1, 0, 0]}, "'order'"),
+        ({"kind": "svm"}, "needs a kind"),
+        ({"label": "LR"}, "needs a kind"),
+    ])
+    def test_unknown_model_entry_key(self, tmp_path, capsys, entry, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": [entry]}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error [config]" in err and named in err
+
+    def test_unknown_fit_param(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        assert main([
+            "fit", "--features", str(out / "features.csv"), "--kind", "svr",
+            "--params", '{"gama": 5}', "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "error [fit]" in err and "'gama'" in err
+        assert not (out / "model_svr.json").exists()
+
     def test_malformed_reviews(self, tmp_path, capsys):
         bad = tmp_path / "reviews.jsonl"
         bad.write_text('{"id": "a", "quarter": "2016Q9", "text": "hi"}\n')

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from test_arima_equivalence import reference_lm_minimize, reference_lm_step
 
+from aspectcast import optimize
 from aspectcast.optimize import OptimizerStalled, lm_minimize, lm_step, numeric_jacobian
 
 
@@ -53,6 +55,99 @@ class TestLmStep:
             lm_step(np.zeros(1), fn, lam=1.0)
 
 
+def rosenbrock(p):
+    x, y = p
+    r = np.array([10.0 * (y - x * x), 1.0 - x])
+    J = np.array([[-20.0 * x, 10.0], [-1.0, 0.0]])
+    return r, J
+
+
+def exponential_fit():
+    t = np.linspace(0, 1, 20)
+    target = 2.0 * np.exp(-1.3 * t)
+
+    def fn(p):
+        e = np.exp(p[1] * t)
+        return p[0] * e - target, np.column_stack([e, p[0] * t * e])
+
+    return fn
+
+
+class TestLazyJacobian:
+    def recording_fn(self, fn):
+        """Wrap an array-returning residual fn to return its Jacobian as a callable,
+        recording every point evaluated and every point whose Jacobian is built."""
+        evaluated, jacobians = [], []
+
+        def wrapped(p):
+            point = np.array(p, dtype=float)
+            evaluated.append(point)
+            r, J = fn(point)
+
+            def jac():
+                jacobians.append(point)
+                return J
+
+            return r, jac
+
+        return wrapped, evaluated, jacobians
+
+    def test_once_per_step_including_retries(self):
+        # a Jacobian 100x too small makes the undamped step overshoot, so the
+        # step retries with larger damping before one is accepted
+        def fn(x):
+            return x - 3.0, np.array([[0.01]])
+
+        wrapped, evaluated, jacobians = self.recording_fn(fn)
+        x, lam, err = lm_step(np.zeros(1), wrapped, lam=1e-12)
+        assert err < 4.5
+        assert len(evaluated) > 2  # the point stepped from, then several candidates
+        assert len(jacobians) == 1
+        assert jacobians[0] is evaluated[0]
+
+    def test_never_for_candidates(self):
+        wrapped, evaluated, jacobians = self.recording_fn(rosenbrock)
+        p, lam = np.array([-1.2, 1.0]), 1e-3
+        for _ in range(30):
+            p_before = p
+            p, lam, _ = lm_step(p, wrapped, lam)
+            assert np.array_equal(jacobians[-1], p_before)
+        assert len(jacobians) == 30
+        assert len(evaluated) > 30
+
+    def test_lm_minimize_builds_one_per_step(self, monkeypatch):
+        steps = []
+
+        def counting_step(*args, **kwargs):
+            steps.append(args[0])
+            return lm_step(*args, **kwargs)
+
+        # lm_minimize looks lm_step up in its module
+        monkeypatch.setattr(optimize, "lm_step", counting_step)
+        wrapped, _, jacobians = self.recording_fn(exponential_fit())
+        lm_minimize(np.array([1.0, 0.0]), wrapped, max_steps=100)
+        # none for the initial error evaluation, one per step
+        assert len(steps) > 1
+        assert len(jacobians) == len(steps)
+
+    @pytest.mark.parametrize("fn, start", [(rosenbrock, [-1.2, 1.0]),
+                                           (exponential_fit(), [1.0, 0.0])])
+    def test_same_results_as_reference(self, fn, start):
+        lazy, _, _ = self.recording_fn(fn)
+        expected = reference_lm_minimize(np.array(start), fn, max_steps=100)
+        for residual_fn in (fn, lazy):
+            got = lm_minimize(np.array(start), residual_fn, max_steps=100)
+            assert repr(got[0].tolist()) == repr(expected[0].tolist())
+            assert repr(got[1]) == repr(expected[1])
+
+        p_ref = p = np.array(start, dtype=float)
+        lam_ref = lam = 1e-3
+        for _ in range(20):
+            p_ref, lam_ref, err_ref = reference_lm_step(p_ref, fn, lam_ref)
+            p, lam, err = lm_step(p, fn, lam)
+            assert (repr(p.tolist()), lam, repr(err)) == (repr(p_ref.tolist()), lam_ref, repr(err_ref))
+
+
 class TestLmMinimize:
     def test_converges_on_exponential_fit(self):
         rng = np.random.default_rng(7)
@@ -83,3 +178,15 @@ class TestNumericJacobian:
 
         J = numeric_jacobian(fn, np.array([0.3, -0.7]))
         assert np.allclose(J, A, atol=1e-6)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_two_evaluations_per_parameter(self, k):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return np.array([x.sum(), x @ x, 1.0])
+
+        J = numeric_jacobian(fn, np.linspace(-1.0, 1.0, k))
+        assert J.shape == (3, k)
+        assert len(calls) == 2 * k
