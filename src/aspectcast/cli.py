@@ -82,6 +82,8 @@ def cmd_fit(args) -> None:
     cfg = _load_config(args)
     matrix = features_mod.FeatureMatrix.from_csv(Path(args.features).read_bytes())
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise StageError("fit", "--params must be a JSON object")
     spec = ForecasterSpec.make(args.kind, label=args.kind, seed=cfg.seed, **params)
     try:
         if spec.kind == "arima":
@@ -112,8 +114,11 @@ def cmd_predict(args) -> None:
 def cmd_evaluate(args) -> None:
     cfg = _load_config(args)
     matrix = features_mod.FeatureMatrix.from_csv(Path(args.features).read_bytes())
-    rows = list(csv.DictReader(io.StringIO(Path(args.predictions).read_text("utf-8"))))
-    predicted = {row["quarter"]: float(row["predicted"]) for row in rows}
+    reader = csv.DictReader(io.StringIO(Path(args.predictions).read_text("utf-8")))
+    absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
+    if absent:
+        raise StageError("evaluate", f"{args.predictions}: missing columns {absent}")
+    predicted = {row["quarter"]: float(row["predicted"]) for row in reader}
     missing = [str(q) for q in matrix.quarters if str(q) not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from ..features import FeatureMatrix
 
@@ -61,7 +60,10 @@ def _ols(X: np.ndarray, y: np.ndarray, columns: list):
         var_beta = sigma2 * np.sum(rinv * rinv, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tstats = beta / np.sqrt(var_beta)
-        pvalues = 2.0 * stats.t.sf(np.abs(tstats), dof)
+        # imported on first use: scipy.special takes ~0.3 s to import, which commands fitting no LR skip
+        from scipy.special import stdtr
+
+        pvalues = 2.0 * stdtr(dof, -np.abs(tstats))
     else:
         pvalues = np.zeros(k + 1)
     return beta, pvalues

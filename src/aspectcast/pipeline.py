@@ -78,6 +78,8 @@ class PipelineConfig:
             obj = json.loads(Path(path).read_text("utf-8"))
         except (OSError, json.JSONDecodeError) as e:
             raise StageError("config", f"{path}: {e}") from None
+        if not isinstance(obj, dict):
+            raise StageError("config", f"{path}: top level must be a JSON object")
         return cls.from_dict(obj, overrides, base=Path(path).parent)
 
     @classmethod

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import aspectcast
 from aspectcast.cli import main
 
 REPORT_FILES = ("report.csv", "report.json", "plot_data.csv")
@@ -139,6 +144,42 @@ class TestBundledReports:
             assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "jsonl" / name).read_bytes()
 
 
+# Imports the CLI as each command does, then fits LR as the pipeline does,
+# printing the SciPy modules loaded after each step.
+COLD_START = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import aspectcast.cli
+from aspectcast.aspects import default_vocabulary
+from aspectcast.sentiment import default_lexicon
+default_lexicon()
+default_vocabulary()
+at_start = scipy_modules()
+from aspectcast.features import chronological_split
+from aspectcast.models import fit_lr
+from aspectcast.pipeline import PipelineConfig, build_matrix, load_inputs
+cfg = PipelineConfig.defaults()
+matrix, _ = build_matrix(cfg, *load_inputs(cfg))
+fit_lr(chronological_split(matrix)[0], selection="backward_stepwise")
+print(json.dumps([at_start, scipy_modules()]))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_on_first_lr_fit(self):
+        src = str(Path(aspectcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        at_start, after_fit = json.loads(done.stdout)
+        # importing scipy.stats takes over a second, which every command would pay
+        assert at_start == []
+        assert "scipy.special" in after_fit
+        assert "scipy.stats" not in after_fit
+
+
 class TestErrors:
     def test_missing_reviews_file(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -184,6 +225,45 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error [fit]" in err and "'gama'" in err
         assert not (out / "model_svr.json").exists()
+
+    @pytest.mark.parametrize("params", ["[1]", '"gamma"', "5", "null"])
+    def test_fit_params_not_an_object(self, tmp_path, capsys, params):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        assert main([
+            "fit", "--features", str(out / "features.csv"), "--kind", "svr",
+            "--params", params, "--out", str(out),
+        ]) == 1
+        assert "error [fit] --params must be a JSON object" in capsys.readouterr().err
+        assert not (out / "model_svr.json").exists()
+
+    @pytest.mark.parametrize("top", [["x"], [], "reviews.jsonl", 3])
+    def test_config_not_an_object(self, tmp_path, capsys, top):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(top))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert "error [config]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("header, named", [
+        ("quarter,value", "['predicted']"),
+        ("when,predicted", "['quarter']"),
+        ("", "['quarter', 'predicted']"),
+    ])
+    def test_predictions_missing_column(self, tmp_path, capsys, header, named):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text(header + "\n2016Q3,0.01\n" if header else "")
+        assert main([
+            "evaluate", "--features", str(out / "features.csv"),
+            "--predictions", str(predictions), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "error [evaluate]" in err and f"missing columns {named}" in err
+        assert not (out / "report.csv").exists()
 
     def test_malformed_reviews(self, tmp_path, capsys):
         bad = tmp_path / "reviews.jsonl"
