@@ -14,9 +14,9 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import features as features_mod
-from .models import ForecasterSpec, fit_spec, model_from_json, model_to_json, predict_with
-from .models.arima import ArimaModel
-from .pipeline import PipelineConfig, StageError, load_inputs, run_pipeline, score_reviews
+from .models import KINDS, ForecasterSpec, fit_spec, model_from_json, model_to_json, predict_with
+from .pipeline import (PipelineConfig, StageError, build_features, build_matrix, load_inputs,
+                       run_pipeline, score_reviews)
 
 
 def _load_config(args, extra_overrides=None) -> PipelineConfig:
@@ -70,11 +70,8 @@ def cmd_sentiment(args) -> None:
 
 
 def cmd_features(args) -> None:
-    from .pipeline import build_matrix
-
     cfg = _load_config(args)
-    inputs = load_inputs(cfg)
-    matrix, _ = build_matrix(cfg, *inputs)
+    matrix = build_matrix(cfg, *build_features(*load_inputs(cfg)))
     _write(cfg.out_dir, "features.csv", matrix.to_csv())
 
 
@@ -86,10 +83,7 @@ def cmd_fit(args) -> None:
         raise StageError("fit", "--params must be a JSON object")
     spec = ForecasterSpec.make(args.kind, label=args.kind, seed=cfg.seed, **params)
     try:
-        if spec.kind == "arima":
-            model = fit_spec(spec, matrix.y)
-        else:
-            model = fit_spec(spec, matrix)
+        model = fit_spec(spec, matrix)
     except Exception as e:
         raise StageError("fit", str(e)) from None
     _write(cfg.out_dir, f"model_{args.kind}.json", model_to_json(model))
@@ -118,7 +112,11 @@ def cmd_evaluate(args) -> None:
     absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
     if absent:
         raise StageError("evaluate", f"{args.predictions}: missing columns {absent}")
-    predicted = {row["quarter"]: float(row["predicted"]) for row in reader}
+    predicted = {}
+    for row in reader:
+        if None in (row["quarter"], row["predicted"]):
+            raise StageError("evaluate", f"{args.predictions} line {reader.line_num}: too few fields")
+        predicted[row["quarter"]] = float(row["predicted"])
     missing = [str(q) for q in matrix.quarters if str(q) not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")
@@ -177,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one model on a feature CSV")
     common(p)
     p.add_argument("--features", required=True)
-    p.add_argument("--kind", required=True, choices=["lr", "mlp", "svr", "arima"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--params", help="JSON object of model hyperparameters")
     p.set_defaults(fn=cmd_fit)
 

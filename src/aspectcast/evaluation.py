@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureMatrix, GrowthSeries, chronological_split
-from .models import ForecasterSpec, fit_spec, forecast_arima, predict_with
-from .models.arima import ArimaModel
+from .models import ForecasterSpec, fit_spec, predict_with
+from .models import forecast_arima  # noqa: F401  perfbench/tracing.py wraps this attribute
 
 __all__ = [
     "MetricError",
@@ -106,27 +106,14 @@ def backtest(
     matrix: FeatureMatrix,
     split_ratio=(2, 1),
     growth: GrowthSeries | None = None,
-    u_variant: str = "U2",
 ) -> EvalRow:
     """Fit on the chronological training prefix, score the held-out suffix.
 
-    ARIMA specs train on the growth values aligned with the matrix rows (or
-    on ``growth`` when given) and forecast the test quarters; feature models
-    predict them from the test design matrix.
+    ``growth`` is the history an ARIMA spec trains on (see ``fit_spec``).
     """
     train, test = chronological_split(matrix, split_ratio)
     try:
-        if spec.kind == "arima":
-            if growth is not None:
-                first_test = test.quarters[0]
-                train_values = [v for q, v in zip(growth.quarters, growth.values) if q < first_test]
-            else:
-                train_values = train.y
-            model = fit_spec(spec, np.asarray(train_values, dtype=float))
-            predicted = forecast_arima(model, test.n_rows)
-        else:
-            model = fit_spec(spec, train)
-            predicted = predict_with(model, test)
+        predicted = predict_with(fit_spec(spec, train, growth), test)
     except Exception as e:
         raise MetricError(f"model {spec.label!r} failed to fit: {e}") from e
 
@@ -136,7 +123,7 @@ def backtest(
         label=spec.label,
         mse=mse(actual, predicted),
         rmse=rmse(actual, predicted),
-        theils_u=theils_u(actual, predicted, variant=u_variant, history=history),
+        theils_u=theils_u(actual, predicted, history=history),
         quarters=[str(q) for q in test.quarters],
         actual=[float(v) for v in actual],
         predicted=[float(v) for v in predicted],

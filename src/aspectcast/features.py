@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +50,6 @@ class GrowthSeries:
 
     def __len__(self):
         return len(self.quarters)
-
-    def __getitem__(self, quarter: Quarter) -> float:
-        try:
-            return self.values[self.quarters.index(quarter)]
-        except ValueError:
-            raise KeyError(quarter) from None
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from ..features import FeatureMatrix
+from ..features import FeatureMatrix, GrowthSeries
 from .arima import ArimaModel, fit_arima, forecast_arima
 from .linear import FitError, LinearModel, fit_lr, predict_lr
 from .mlp import MlpModel, MlpSpec, fit_mlp, mlp_residual_fn
@@ -70,14 +70,18 @@ class ForecasterSpec:
         return dict(self.params)
 
 
-def fit_spec(spec: ForecasterSpec, data):
-    """Fit one spec on a FeatureMatrix (lr/mlp/svr) or growth values (arima)."""
+def fit_spec(spec: ForecasterSpec, train: FeatureMatrix, growth: GrowthSeries | None = None):
+    """Fit one spec on a training prefix; ``predict_with`` then forecasts a test block.
+
+    ARIMA trains on the ``growth`` values through the last training quarter,
+    or on ``train.y`` when ``growth`` is None; the other kinds ignore ``growth``.
+    """
     p = spec.param_dict()
     unknown = sorted(set(p).difference(PARAMS[spec.kind]))
     if unknown:
         raise FitError(f"unknown {spec.kind} params {unknown}; it takes {list(PARAMS[spec.kind])}")
     if spec.kind == "lr":
-        return fit_lr(data, selection=p.get("selection", "all"), threshold=p.get("threshold", 0.3))
+        return fit_lr(train, selection=p.get("selection", "all"), threshold=p.get("threshold", 0.3))
     if spec.kind == "mlp":
         mspec = MlpSpec(
             hidden_size=p.get("hidden_size", 10),
@@ -86,19 +90,21 @@ def fit_spec(spec: ForecasterSpec, data):
             validation_patience=p.get("validation_patience", 6),
             seed=spec.seed,
         )
-        return fit_mlp(data, mspec)
+        return fit_mlp(train, mspec)
     if spec.kind == "svr":
         sspec = SvrSpec(gamma=p.get("gamma", 5.0), nu=p.get("nu", 0.5), C=p.get("C", 1.0))
-        return fit_nusvr(data, sspec)
-    if spec.kind == "arima":
-        return fit_arima(data, tuple(p.get("orders", (1, 0, 0))))
-    raise FitError(f"unknown model kind: {spec.kind!r}")
+        return fit_nusvr(train, sspec)
+    # arima, the one kind left
+    if growth is None:
+        history = train.y
+    else:
+        last = train.quarters[-1]
+        history = [v for q, v in zip(growth.quarters, growth.values) if q <= last]
+    return fit_arima(history, tuple(p.get("orders", (1, 0, 0))))
 
 
 def predict_with(model, test: FeatureMatrix) -> np.ndarray:
     """Predictions aligned with the rows of ``test`` for any fitted model."""
-    if isinstance(model, ArimaModel):
-        return forecast_arima(model, test.n_rows)
     return model.predict(test)
 
 

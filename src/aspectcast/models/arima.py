@@ -8,11 +8,11 @@ a plain differenced AR/MA, so a (0,1,0) model is a random walk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import GrowthSeries
+from ..features import FeatureMatrix
 from ..optimize import lm_minimize, numeric_jacobian
 from .linear import FitError
 
@@ -29,6 +29,10 @@ class ArimaModel:
     residuals: np.ndarray    # one per diffed observation (pre-sample zeros)
     last_levels: np.ndarray  # tail of the undifferenced series, length d (may be 0)
     invertible: bool = True
+
+    def predict(self, matrix: FeatureMatrix) -> np.ndarray:
+        """Forecasts for the ``matrix.n_rows`` quarters after the fitted series."""
+        return forecast_arima(self, matrix.n_rows)
 
 
 def _difference(y: np.ndarray, d: int):
@@ -70,11 +74,11 @@ def _split_params(params, p, q, use_const):
 
 
 def fit_arima(series, orders: tuple) -> ArimaModel:
-    """CSS fit. ``series`` is a GrowthSeries or a 1-d array of values."""
+    """CSS fit of a 1-d series of values."""
     p, d, q = orders
     if min(p, d, q) < 0:
         raise FitError("ARIMA orders must be non-negative")
-    y = series.as_array() if isinstance(series, GrowthSeries) else np.asarray(series, dtype=float)
+    y = np.asarray(series, dtype=float)
     if len(y) <= d:
         raise FitError(f"series too short to difference {d} times")
     w, tails = _difference(y, d)

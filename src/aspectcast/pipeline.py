@@ -16,7 +16,8 @@ from .features import FeatureMatrix, GrowthSeries
 from .models import PARAMS, ForecasterSpec
 
 __all__ = ["PipelineConfig", "StageError", "load_inputs", "score_reviews",
-           "build_perceptions", "build_matrix", "run_pipeline", "DEFAULT_MODELS"]
+           "build_perceptions", "build_features", "build_matrix", "run_pipeline",
+           "DEFAULT_MODELS"]
 
 
 class StageError(RuntimeError):
@@ -192,40 +193,35 @@ def build_perceptions(reviews, scores, vocab):
     ]
 
 
-def build_matrix(cfg: PipelineConfig, reviews, revenue, vocab, lexicon, heuristics,
-                 aspect_set=None) -> tuple[FeatureMatrix, GrowthSeries]:
-    aspect_ids = resolve_aspect_set(aspect_set if aspect_set is not None else cfg.aspect_set)
+def build_features(reviews, revenue, vocab, lexicon, heuristics):
+    """Revenue growth and per-(aspect, quarter) perceptions: every text stage, run once.
+
+    Takes ``load_inputs``'s tuple; any aspect set's matrix is assembled from
+    the result by ``build_matrix``.
+    """
     try:
         growth = features_mod.revenue_growth(revenue)
         scores = score_reviews(reviews, lexicon, heuristics)
         perceptions = build_perceptions(reviews, scores, vocab)
-        matrix = features_mod.assemble(perceptions, growth, aspect_ids, cfg.include_lag)
-    except (features_mod.FeatureError, ValueError) as e:
+    except ValueError as e:  # FeatureError included
         raise StageError("features", str(e)) from None
-    return matrix, growth
+    return growth, perceptions
+
+
+def build_matrix(cfg: PipelineConfig, growth: GrowthSeries, perceptions,
+                 aspect_set=None) -> FeatureMatrix:
+    """The design matrix of ``aspect_set`` (default ``cfg.aspect_set``)."""
+    aspect_ids = resolve_aspect_set(aspect_set if aspect_set is not None else cfg.aspect_set)
+    try:
+        return features_mod.assemble(perceptions, growth, aspect_ids, cfg.include_lag)
+    except ValueError as e:
+        raise StageError("features", str(e)) from None
 
 
 def run_pipeline(cfg: PipelineConfig) -> EvalReport:
     """Full experiment: every configured model backtested on the same split."""
-    reviews, revenue, vocab, lexicon, heuristics = load_inputs(cfg)
-    growth = features_mod.revenue_growth(revenue)
-    scores = score_reviews(reviews, lexicon, heuristics)
-    perceptions = build_perceptions(reviews, scores, vocab)
-
-    matrices: dict = {}
-
-    def matrix_for(aspect_value) -> FeatureMatrix:
-        key = json.dumps(aspect_value)
-        if key not in matrices:
-            aspect_ids = resolve_aspect_set(aspect_value)
-            try:
-                matrices[key] = features_mod.assemble(
-                    perceptions, growth, aspect_ids, cfg.include_lag
-                )
-            except features_mod.FeatureError as e:
-                raise StageError("features", str(e)) from None
-        return matrices[key]
-
+    growth, perceptions = build_features(*load_inputs(cfg))
+    matrices: dict = {}  # one per aspect set: assembling is not free
     report = EvalReport()
     for entry in cfg.models:
         entry = dict(entry)
@@ -234,9 +230,11 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         aspect_value = entry.pop("aspects", cfg.aspect_set)
         seed = int(entry.pop("seed", cfg.seed))
         spec = ForecasterSpec.make(kind, label=label, seed=seed, **entry)
-        matrix = matrix_for(aspect_value)
+        key = json.dumps(aspect_value)
+        if key not in matrices:
+            matrices[key] = build_matrix(cfg, growth, perceptions, aspect_value)
         try:
-            row = backtest(spec, matrix, cfg.split_ratio, growth=growth)
+            row = backtest(spec, matrices[key], cfg.split_ratio, growth=growth)
         except Exception as e:
             raise StageError("fit", f"model {label!r}: {e}") from None
         report.rows.append(row)

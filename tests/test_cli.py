@@ -158,9 +158,9 @@ default_vocabulary()
 at_start = scipy_modules()
 from aspectcast.features import chronological_split
 from aspectcast.models import fit_lr
-from aspectcast.pipeline import PipelineConfig, build_matrix, load_inputs
+from aspectcast.pipeline import PipelineConfig, build_features, build_matrix, load_inputs
 cfg = PipelineConfig.defaults()
-matrix, _ = build_matrix(cfg, *load_inputs(cfg))
+matrix = build_matrix(cfg, *build_features(*load_inputs(cfg)))
 fit_lr(chronological_split(matrix)[0], selection="backward_stepwise")
 print(json.dumps([at_start, scipy_modules()]))
 """
@@ -264,6 +264,53 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error [evaluate]" in err and f"missing columns {named}" in err
         assert not (out / "report.csv").exists()
+
+    def test_predictions_row_shorter_than_header(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("quarter,predicted\n2016Q3,0.01\n2016Q4\n")
+        assert main([
+            "evaluate", "--features", str(out / "features.csv"),
+            "--predictions", str(predictions), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error [evaluate] {predictions} line 3: too few fields" in err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("model, named", [
+        ([1], "must be an object"),
+        ("lr", "must be an object"),
+        ({"kind": "lr"}, "lr model is missing field 'intercept'"),
+        ({"kind": "arima", "orders": [1, 0, 0]}, "arima model is missing field 'constant'"),
+        ({"kind": "lr", "intercept": 0.1, "coefficients": 5, "selected_features": []},
+         "malformed lr model"),
+        ({"kind": "naive"}, "unknown model kind"),
+    ])
+    def test_bad_model_file(self, tmp_path, capsys, model, named):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main([
+            "predict", "--model", str(path), "--features", str(out / "features.csv"),
+            "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "error [predict]" in err and named in err
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("command", ["features", "pipeline"])
+    def test_one_revenue_quarter_is_a_features_error(self, tmp_path, capsys, command):
+        config = write_small_corpus(tmp_path)
+        (tmp_path / "revenue.csv").write_text("quarter,revenue\n2016Q1,100.0\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error [features] revenue series needs at least 2 quarters" in err
+        assert not out.exists()
 
     def test_malformed_reviews(self, tmp_path, capsys):
         bad = tmp_path / "reviews.jsonl"

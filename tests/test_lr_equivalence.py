@@ -14,7 +14,7 @@ from scipy import stats
 from aspectcast.features import chronological_split
 from aspectcast.models import FitError, LinearModel, fit_lr
 from aspectcast.models.linear import _ols
-from aspectcast.pipeline import PipelineConfig, build_matrix, load_inputs
+from aspectcast.pipeline import PipelineConfig, build_features, build_matrix, load_inputs
 from test_linear import matrix
 
 THRESHOLDS = [0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0]
@@ -113,8 +113,7 @@ def assert_same_fit(train, selection, threshold):
 
 def _bundled_matrix(aspects, include_lag):
     cfg = PipelineConfig.defaults(aspects=aspects, include_lag=include_lag)
-    matrix, _ = build_matrix(cfg, *load_inputs(cfg))
-    return matrix
+    return build_matrix(cfg, *build_features(*load_inputs(cfg)))
 
 
 class TestBundledEquivalence:
