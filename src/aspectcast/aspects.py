@@ -17,7 +17,6 @@ __all__ = [
     "AspectMatch",
     "VocabularyError",
     "builtin_aspects",
-    "aspect_ids",
     "load_vocabulary",
     "default_vocabulary",
     "match_aspects",
@@ -78,10 +77,6 @@ ASPECT_SET_13 = ASPECT_SET_16[:13]
 def builtin_aspects() -> list[Aspect]:
     """All 16 aspects in table order."""
     return [Aspect(*row) for row in _ASPECTS]
-
-
-def aspect_ids() -> list[str]:
-    return list(ASPECT_SET_16)
 
 
 def _normalize_phrase(phrase: str) -> str:

@@ -33,6 +33,13 @@ def _load_config(args, extra_overrides=None) -> PipelineConfig:
     return PipelineConfig.from_dict({}, overrides)
 
 
+def _read_features(args) -> features_mod.FeatureMatrix:
+    try:
+        return features_mod.FeatureMatrix.from_csv(Path(args.features).read_bytes())
+    except features_mod.FeatureError as e:
+        raise StageError(args.command, f"{args.features} {e}") from None
+
+
 def _write(out_dir: Path, name: str, data: bytes) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -77,7 +84,7 @@ def cmd_features(args) -> None:
 
 def cmd_fit(args) -> None:
     cfg = _load_config(args)
-    matrix = features_mod.FeatureMatrix.from_csv(Path(args.features).read_bytes())
+    matrix = _read_features(args)
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise StageError("fit", "--params must be a JSON object")
@@ -92,7 +99,7 @@ def cmd_fit(args) -> None:
 def cmd_predict(args) -> None:
     cfg = _load_config(args)
     model = model_from_json(Path(args.model).read_bytes())
-    matrix = features_mod.FeatureMatrix.from_csv(Path(args.features).read_bytes())
+    matrix = _read_features(args)
     try:
         predicted = predict_with(model, matrix)
     except Exception as e:
@@ -107,7 +114,7 @@ def cmd_predict(args) -> None:
 
 def cmd_evaluate(args) -> None:
     cfg = _load_config(args)
-    matrix = features_mod.FeatureMatrix.from_csv(Path(args.features).read_bytes())
+    matrix = _read_features(args)
     reader = csv.DictReader(io.StringIO(Path(args.predictions).read_text("utf-8")))
     absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
     if absent:

@@ -114,15 +114,20 @@ class FeatureMatrix:
         reader = csv.reader(io.StringIO(data.decode("utf-8")))
         header = next(reader, None)
         if not header or header[0] != "quarter" or header[-1] != "target_growth":
-            raise FeatureError("feature CSV header must be quarter,<columns...>,target_growth")
+            raise FeatureError("line 1: header must be quarter,<columns...>,target_growth")
         columns = header[1:-1]
         quarters, rows, targets = [], [], []
         for row in reader:
             if not row:
                 continue
-            quarters.append(Quarter.parse(row[0]))
-            rows.append([float(v) for v in row[1:-1]])
-            targets.append(float(row[-1]))
+            if len(row) != len(header):
+                raise FeatureError(f"line {reader.line_num}: {len(row)} fields, header has {len(header)}")
+            try:
+                quarters.append(Quarter.parse(row[0]))
+                rows.append([float(v) for v in row[1:-1]])
+                targets.append(float(row[-1]))
+            except ValueError as e:
+                raise FeatureError(f"line {reader.line_num}: {e}") from None
         X = np.asarray(rows, dtype=float).reshape(len(quarters), len(columns))
         return cls(quarters=quarters, columns=columns, X=X, y=np.asarray(targets))
 

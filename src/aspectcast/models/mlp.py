@@ -66,8 +66,8 @@ def _unpack(params, H, k):
     return w1, b1, w2, b2
 
 
-def mlp_residual_fn(X: np.ndarray, t: np.ndarray, H: int):
-    """Residual map (scaled predictions minus scaled targets) with analytic Jacobian."""
+def _lazy_residual_fn(X: np.ndarray, t: np.ndarray, H: int):
+    """Residual map returning (r, jac): jac builds the analytic Jacobian when called."""
     k = X.shape[1]
 
     def fn(params):
@@ -77,21 +77,35 @@ def mlp_residual_fn(X: np.ndarray, t: np.ndarray, H: int):
         u = z @ w2 + b2              # (n,)
         o = _sigmoid(u)
         r = o - t
-        do = o * (1.0 - o)           # (n,)
-        dz = z * (1.0 - z)           # (n, H)
-        # d o / d w1[h, j] = do * w2[h] * dz[:, h] * X[:, j]
-        g_hidden = do[:, None] * w2[None, :] * dz     # (n, H)
-        J_w1 = g_hidden[:, :, None] * X[:, None, :]   # (n, H, k)
-        J = np.concatenate(
-            [
-                J_w1.reshape(len(t), H * k),
-                g_hidden,
-                do[:, None] * z,
-                do[:, None],
-            ],
-            axis=1,
-        )
-        return r, J
+
+        def jac():
+            do = o * (1.0 - o)           # (n,)
+            dz = z * (1.0 - z)           # (n, H)
+            # d o / d w1[h, j] = do * w2[h] * dz[:, h] * X[:, j]
+            g_hidden = do[:, None] * w2[None, :] * dz     # (n, H)
+            J_w1 = g_hidden[:, :, None] * X[:, None, :]   # (n, H, k)
+            return np.concatenate(
+                [
+                    J_w1.reshape(len(t), H * k),
+                    g_hidden,
+                    do[:, None] * z,
+                    do[:, None],
+                ],
+                axis=1,
+            )
+
+        return r, jac
+
+    return fn
+
+
+def mlp_residual_fn(X: np.ndarray, t: np.ndarray, H: int):
+    """Residual map (scaled predictions minus scaled targets) with analytic Jacobian."""
+    lazy = _lazy_residual_fn(X, t, H)
+
+    def fn(params):
+        r, jac = lazy(params)
+        return r, jac()
 
     return fn
 
@@ -127,14 +141,14 @@ def fit_mlp(train: FeatureMatrix, spec: MlpSpec | None = None) -> MlpModel:
     H = spec.hidden_size
     params = rng.uniform(-0.5, 0.5, size=H * k + 2 * H + 1)
 
-    fn_train = mlp_residual_fn(X[idx_train], t_all[idx_train], H)
-    fn_val = mlp_residual_fn(X[idx_val], t_all[idx_val], H)
+    # lm_step builds the Jacobian only at the point each step starts from
+    fn_train = _lazy_residual_fn(X[idx_train], t_all[idx_train], H)
+    fn_val = _lazy_residual_fn(X[idx_val], t_all[idx_val], H)
 
     def val_error(p):
         r, _ = fn_val(p)
         return half_sse(r)
 
-    r0, _ = fn_train(params)
     trace = []
     best_params = params.copy()
     best_val = val_error(params)

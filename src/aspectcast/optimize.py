@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["OptimizerStalled", "lm_step", "lm_minimize", "numeric_jacobian"]
+__all__ = ["OptimizerStalled", "lm_step", "lm_minimize", "numeric_jacobian", "numeric_jacobian_rows"]
 
 
 class OptimizerStalled(RuntimeError):
@@ -42,10 +42,13 @@ def lm_step(params, residual_fn, lam, lam_max=1e12):
     err = half_sse(r)
     A = J.T @ J
     g = J.T @ r
-    eye = np.eye(len(params))
     while lam <= lam_max:
+        # the same bits as A + lam * I for any finite lam: a + lam * 0.0 off
+        # the diagonal, and (a + lam * 0.0) + lam == a + lam on it
+        damped = A + lam * 0.0
+        damped.flat[:: len(params) + 1] += lam
         try:
-            delta = np.linalg.solve(A + lam * eye, -g)
+            delta = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
@@ -78,13 +81,26 @@ def lm_minimize(params, residual_fn, lam0=1e-3, max_steps=200, tol=1e-12):
 
 def numeric_jacobian(fn, params, step=1e-6):
     """Central-difference Jacobian of a residual-only function: 2 * len(params) calls of ``fn``."""
+    return numeric_jacobian_rows(lambda points: [np.asarray(fn(x), dtype=float) for x in points],
+                                 params, step)
+
+
+def numeric_jacobian_rows(fn_rows, params, step=1e-6):
+    """Central-difference Jacobian from one call of ``fn_rows`` on all 2k perturbed points.
+
+    ``fn_rows`` maps a (2k, k) array of parameter rows to their residual rows.
+    The rows are params + h_j e_j and params - h_j e_j for j = 0, 1, ...,
+    interleaved, with h_j = step * max(1, |params[j]|); column j of the result
+    is (r(up_j) - r(dn_j)) / (2 h_j).
+    """
     params = np.asarray(params, dtype=float)
-    columns = []
-    for j in range(params.size):
-        h = step * max(1.0, abs(params[j]))
-        up = params.copy()
-        dn = params.copy()
-        up[j] += h
-        dn[j] -= h
-        columns.append((np.asarray(fn(up), dtype=float) - np.asarray(fn(dn), dtype=float)) / (2.0 * h))
-    return np.column_stack(columns)
+    k = params.size
+    h = step * np.fmax(1.0, np.abs(params))  # fmax, as max(1.0, nan) is 1.0
+    points = np.repeat(params[None, :], 2 * k, axis=0)
+    # (2j, j) and (2j + 1, j) sit 2k + 1 apart in the flat array
+    points.flat[:: 2 * k + 1] += h
+    points.flat[k :: 2 * k + 1] -= h
+    R = np.asarray(fn_rows(points), dtype=float).reshape(2 * k, -1)
+    J = np.empty((R.shape[1], k))
+    np.divide((R[0::2] - R[1::2]).T, 2.0 * h, out=J)
+    return J

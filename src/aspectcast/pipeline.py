@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -55,6 +56,11 @@ def _check_model_entry(entry) -> None:
         raise StageError("config", f"unknown keys {unknown} in model {entry.get('label', entry['kind'])!r}")
 
 
+def _positive_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
+
+
 def _bundled(name: str) -> Path:
     return Path(str(resources.files("aspectcast").joinpath(f"data/{name}")))
 
@@ -105,6 +111,14 @@ class PipelineConfig:
                 p = base / p
             return p
 
+        include_lag = merged.get("include_lag", True)
+        if not isinstance(include_lag, bool):
+            raise StageError("config", f"include_lag must be true or false, got {include_lag!r}")
+        split_ratio = merged.get("split_ratio", (2, 1))
+        if not (isinstance(split_ratio, (list, tuple)) and len(split_ratio) == 2
+                and all(_positive_number(v) for v in split_ratio)):
+            raise StageError("config", f"split_ratio must be two positive numbers, got {split_ratio!r}")
+
         reviews = resolve("reviews") or _bundled("synthetic/reviews.jsonl")
         revenue = resolve("revenue") or _bundled("synthetic/revenue.csv")
         return cls(
@@ -114,8 +128,8 @@ class PipelineConfig:
             lexicon_path=resolve("lexicon"),
             heuristics_path=resolve("heuristics"),
             aspect_set=merged.get("aspects", 16),
-            include_lag=bool(merged.get("include_lag", True)),
-            split_ratio=tuple(merged.get("split_ratio", (2, 1))),
+            include_lag=include_lag,
+            split_ratio=tuple(split_ratio),
             seed=int(merged.get("seed", 0)),
             models=[dict(m) for m in models],
             out_dir=Path(merged.get("out", "out")),

@@ -1,6 +1,7 @@
 """Differential tests: the ARIMA CSS fit against a frozen copy of the fit it
 replaced, which evaluated the residual recursion on NumPy scalars and built a
-full numeric Jacobian at every trial point of every optimizer step.
+full numeric Jacobian, one recursion per perturbed point, at every trial point
+of every optimizer step.
 
 Both must agree bit for bit (compared by ``repr``, so inf, nan and the sign of
 zero count), and fail with the same error type, because report bytes are
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from aspectcast.corpus import parse_revenue
 from aspectcast.features import revenue_growth
 from aspectcast.models import FitError, fit_arima, forecast_arima
-from aspectcast.models.arima import ArimaModel, _css_residuals, _difference, _split_params
+from aspectcast.models.arima import (ArimaModel, _css_residuals, _difference, _residual_fn,
+                                     _split_params)
 from aspectcast.optimize import OptimizerStalled, half_sse, numeric_jacobian
 
 SWEEP_ORDERS = [(p, d, q) for p in range(4) for d in range(2) for q in range(3)]
@@ -245,3 +247,83 @@ class TestHelperEquivalence:
             got = numeric_jacobian(fn, params)
         assert got.shape == expected.shape
         assert repr(got.tolist()) == repr(expected.tolist())
+
+
+def reference_residual_only(w, p, q, use_const):
+    def fn(params):
+        c, ar, ma = _split_params(params, p, q, use_const)
+        return reference_css_residuals(w, c, ar, ma)[p:]
+
+    return fn
+
+
+def assert_same_residual_map(w, orders, points):
+    """The fit's residual map against the frozen recursion and Jacobian, one point after another."""
+    p, d, q = orders
+    residual_fn = _residual_fn(w, p, q, d == 0)
+    reference = reference_residual_only(w, p, q, d == 0)
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            r, jac = residual_fn(x)
+            J = jac()
+            r_ref = reference(x)
+            J_ref = reference_numeric_jacobian(reference, x)
+        assert repr(r.tolist()) == repr(r_ref.tolist()), (orders, x)
+        assert J.shape == J_ref.shape
+        assert repr(J.tolist()) == repr(J_ref.tolist()), (orders, x)
+
+
+def _n_params(orders):
+    p, d, q = orders
+    return (1 if d == 0 else 0) + p + q
+
+
+# every sweep order but (0, 1, 0), which has no parameters to fit
+FITTED_ORDERS = [orders for orders in SWEEP_ORDERS if _n_params(orders)]
+
+
+class TestResidualMapEquivalence:
+    @pytest.mark.parametrize("orders", FITTED_ORDERS, ids=str)
+    def test_bundled_growth_series(self, orders):
+        w, _ = _difference(_bundled_growth(), orders[1])
+        rng = np.random.default_rng(sum(orders))
+        k = _n_params(orders)
+        # each point twice: the second call is answered from the kept residuals
+        points = [np.zeros(k), np.zeros(k), rng.normal(size=k) * 0.5, -np.zeros(k),
+                  rng.normal(size=k) * 1e3, rng.normal(size=k) * 1e3]
+        points[-1] = points[-2].copy()
+        assert_same_residual_map(w, orders, points)
+
+    @pytest.mark.parametrize("orders", [(0, 0, 2), (1, 0, 2), (0, 1, 2), (0, 0, 1)], ids=str)
+    def test_ma_lags_before_the_series_start(self, orders):
+        # p < q: the first q - p residuals leave out the MA lags before t = 0;
+        # an infinite MA coefficient times a pre-sample zero would give nan
+        w, _ = _difference(_bundled_growth()[:8], orders[1])
+        k = _n_params(orders)
+        for ma in ([math.inf, 0.5], [0.5, math.inf], [-0.0, -0.0], [1.7e308, -1.7e308]):
+            x = np.full(k, 0.25)
+            x[k - orders[2]:] = ma[: orders[2]]
+            assert_same_residual_map(w, orders, [x])
+
+    def test_kept_residuals_tell_the_sign_of_zero(self):
+        # eps = w - c: with w = -0.0, c = 0.0 gives -0.0 and c = -0.0 gives 0.0,
+        # so the kept residuals of 0.0 must not answer for -0.0
+        w = np.array([-0.0, -0.0, -0.0, -0.0])
+        reference = reference_residual_only(w, 0, 0, True)
+        assert repr(reference(np.array([0.0])).tolist()) != repr(reference(np.array([-0.0])).tolist())
+        assert_same_residual_map(w, (0, 0, 0), [[0.0], [-0.0], [0.0], [-0.0]])
+
+    @given(
+        st.sampled_from(FITTED_ORDERS),
+        st.lists(finite, min_size=8, max_size=24),
+        st.lists(finite, min_size=7, max_size=7),
+        SCALES,
+        SCALES,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_generated(self, orders, values, params, series_scale, param_scale):
+        with np.errstate(all="ignore"):
+            w, _ = _difference(np.asarray(values) * series_scale, orders[1])
+        x = np.asarray(params[: _n_params(orders)]) * param_scale
+        assert_same_residual_map(w, orders, [x, x, -x])

@@ -201,6 +201,51 @@ class TestErrors:
         assert "error [config]" in err and "'aspect'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_include_lag_not_a_boolean(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"include_lag": value}))
+        assert main(["features", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [config] include_lag must be true or false, got {value!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [5, [2], [2, 1, 1], [2, 0], [-2, 1], ["2", "1"], [True, 1],
+                                       "21", None])
+    def test_split_ratio_not_two_positive_numbers(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"split_ratio": value}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [config] split_ratio must be two positive numbers, got {value!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row, problem", [
+        ("2016Q3,1.0", "2 fields, header has 3"),
+        ("2016Q3,1.0,0.5,0.2", "4 fields, header has 3"),
+        ("2016Q3,abc,0.5", "could not convert string to float: 'abc'"),
+        ("2016Q9,1.0,0.5", "invalid quarter label: '2016Q9'"),
+    ])
+    @pytest.mark.parametrize("command", ["fit", "predict", "evaluate"])
+    def test_features_row_does_not_match_header(self, tmp_path, capsys, command, row, problem):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        assert main(["fit", "--features", str(out / "features.csv"), "--kind", "arima",
+                     "--out", str(out)]) == 0
+        features = tmp_path / "bad.csv"
+        features.write_text(f"quarter,a,target_growth\n2016Q2,0.5,0.1\n{row}\n")
+        args = {
+            "fit": ["--kind", "lr"],
+            "predict": ["--model", str(out / "model_arima.json")],
+            "evaluate": ["--predictions", str(tmp_path / "predictions.csv")],
+        }[command]
+        assert main([command, "--features", str(features), *args,
+                     "--out", str(tmp_path / "out2")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [{command}] {features} line 3: {problem}" in err
+        assert not (tmp_path / "out2").exists()
+
     @pytest.mark.parametrize("entry, named", [
         ({"kind": "svr", "label": "SVM", "gama": 5}, "'gama'"),
         ({"kind": "arima", "order": [1, 0, 0]}, "'order'"),

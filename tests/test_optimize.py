@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 from test_arima_equivalence import reference_lm_minimize, reference_lm_step
+from test_linear import matrix
 
 from aspectcast import optimize
+from aspectcast.models import MlpSpec, fit_mlp
+from aspectcast.models import mlp as mlp_mod
 from aspectcast.optimize import OptimizerStalled, lm_minimize, lm_step, numeric_jacobian
 
 
@@ -129,6 +132,49 @@ class TestLazyJacobian:
         # none for the initial error evaluation, one per step
         assert len(steps) > 1
         assert len(jacobians) == len(steps)
+
+    def test_fit_mlp_builds_one_per_step(self, monkeypatch):
+        steps, made = [], []
+
+        def counting_step(*args, **kwargs):
+            steps.append(np.array(args[0], dtype=float))
+            return lm_step(*args, **kwargs)
+
+        def recording_lazy_fn(*args):
+            fn = lazy_residual_fn(*args)
+            evaluated, jacobians = [], []
+
+            def wrapped(p):
+                point = np.array(p, dtype=float)
+                evaluated.append(point)
+                r, jac = fn(p)
+
+                def counted():
+                    jacobians.append(point)
+                    return jac()
+
+                return r, counted
+
+            made.append((evaluated, jacobians))
+            return wrapped
+
+        lazy_residual_fn = mlp_mod._lazy_residual_fn
+        # fit_mlp looks both up in its module
+        monkeypatch.setattr(mlp_mod, "lm_step", counting_step)
+        monkeypatch.setattr(mlp_mod, "_lazy_residual_fn", recording_lazy_fn)
+        X = np.random.default_rng(1).normal(size=(21, 4))
+        model = fit_mlp(matrix(X, np.tanh(X @ [0.8, -0.4, 0.2, 0.1]) * 0.1 + 0.05),
+                        MlpSpec(hidden_size=5, max_epochs=40, seed=1))
+        (train_points, train_jacobians), (val_points, val_jacobians) = made
+        assert len(steps) >= len(model.trace) > 1
+        # one per step, at the point the step starts from
+        assert len(train_jacobians) == len(steps)
+        for built, start in zip(train_jacobians, steps):
+            assert np.array_equal(built, start)
+        # none for candidates, including the candidates of damping retries
+        assert len(train_points) > 2 * len(steps)
+        # none for validation
+        assert len(val_points) == len(model.trace) + 1 and not val_jacobians
 
     @pytest.mark.parametrize("fn, start", [(rosenbrock, [-1.2, 1.0]),
                                            (exponential_fit(), [1.0, 0.0])])
