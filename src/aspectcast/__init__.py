@@ -7,7 +7,6 @@ from .aspects import (
     default_vocabulary,
     load_vocabulary,
     match_aspects,
-    term_frequencies,
 )
 from .corpus import Quarter, Review, RevenueSeries, group_by_quarter, parse_revenue, parse_reviews
 from .evaluation import backtest, mse, rmse, theils_u

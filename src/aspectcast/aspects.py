@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -20,7 +19,6 @@ __all__ = [
     "load_vocabulary",
     "default_vocabulary",
     "match_aspects",
-    "term_frequencies",
     "ASPECT_SET_13",
     "ASPECT_SET_16",
 ]
@@ -177,24 +175,3 @@ def match_aspects(review: Review, vocab: AspectVocabulary) -> list[AspectMatch]:
         AspectMatch(review.id, ASPECT_SET_16[position], frozenset(hits[position]))
         for position in sorted(hits)
     ]
-
-
-def _default_stopwords() -> frozenset:
-    data = resources.files("aspectcast").joinpath("data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w.strip() for w in data.splitlines() if w.strip())
-
-
-def term_frequencies(reviews: list[Review], top_n: int, stopwords=None) -> list[tuple[str, int]]:
-    """Most frequent tokens across reviews, stop-words excluded.
-
-    Descending by count, ties broken lexicographically, truncated to top_n.
-    """
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    if stopwords is None:
-        stopwords = _default_stopwords()
-    counts = Counter()
-    for review in reviews:
-        counts.update(t for t in _tokenize(review.text) if t not in stopwords)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:top_n]

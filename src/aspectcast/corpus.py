@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import re
@@ -37,7 +38,9 @@ class Quarter:
             raise CorpusError(f"invalid quarter index: {self.index}")
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def parse(cls, label: str) -> "Quarter":
+        """The quarter a ``YYYYQn`` label names; equal labels share one (frozen) instance."""
         m = _QUARTER_RE.match(label.strip())
         if not m:
             raise CorpusError(f"invalid quarter label: {label!r} (expected YYYYQn)")
@@ -117,36 +120,56 @@ def _build_review(idx, rid, qlabel, text, source, seen_ids):
 def parse_reviews(data: bytes, format: str = "jsonl") -> list[Review]:
     """Parse a review file (JSONL or CSV) into Review records.
 
-    JSONL lines carry ``id``/``quarter``/``text`` and optional ``source``;
-    CSV needs an ``id,quarter,text`` header. Errors carry the 1-based line
-    number of the offending record.
+    JSONL lines carry ``id``/``quarter``/``text`` and optional ``source``, one
+    record per line ending in ``\\n``, ``\\r\\n`` or ``\\r``; CSV needs an
+    ``id,quarter,text`` header. Errors carry the 1-based line number of the
+    offending record. Records are decoded and parsed one at a time, so the
+    whole text is never held beside ``data``.
     """
-    text = data.decode("utf-8")
+    if format not in ("jsonl", "csv"):
+        raise CorpusError(f"unknown review format: {format!r}")
+    # JSONL lines end in any of the three line ends, which the stream turns
+    # into "\n"; csv reads each line's own end
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                              newline=None if format == "jsonl" else "")
+    try:
+        return _jsonl_reviews(stream) if format == "jsonl" else _csv_reviews(stream)
+    except UnicodeDecodeError as e:
+        raise CorpusError(f"not valid UTF-8 ({e.reason})") from None
+
+
+def _jsonl_reviews(lines) -> list[Review]:
     seen: set[str] = set()
     reviews: list[Review] = []
-    if format == "jsonl":
-        for idx, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"line {idx}: malformed JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"line {idx}: expected a JSON object")
-            reviews.append(
-                _build_review(idx, obj.get("id"), obj.get("quarter"), obj.get("text"), obj.get("source"), seen)
-            )
-    elif format == "csv":
-        reader = csv.DictReader(io.StringIO(text))
+    for idx, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            # without its "\n", so a broken record reads as it would alone
+            obj = json.loads(line.rstrip("\n"))
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"line {idx}: malformed JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"line {idx}: expected a JSON object")
+        reviews.append(
+            _build_review(idx, obj.get("id"), obj.get("quarter"), obj.get("text"), obj.get("source"), seen)
+        )
+    return reviews
+
+
+def _csv_reviews(lines) -> list[Review]:
+    seen: set[str] = set()
+    reviews: list[Review] = []
+    reader = csv.DictReader(lines)
+    try:
         if reader.fieldnames is None or not {"id", "quarter", "text"} <= set(reader.fieldnames):
             raise CorpusError("CSV header must contain id,quarter,text")
         for idx, row in enumerate(reader, start=2):
             reviews.append(
                 _build_review(idx, row.get("id"), row.get("quarter"), row.get("text"), row.get("source"), seen)
             )
-    else:
-        raise CorpusError(f"unknown review format: {format!r}")
+    except csv.Error as e:
+        raise CorpusError(f"line {reader.reader.line_num}: malformed CSV ({e})") from None
     return reviews
 
 

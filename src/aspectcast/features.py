@@ -51,9 +51,6 @@ class GrowthSeries:
     def __len__(self):
         return len(self.quarters)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
 
 def revenue_growth(series: RevenueSeries) -> GrowthSeries:
     """Fractional growth (rev_q - rev_{q-1}) / rev_{q-1}, one value per quarter after the first."""

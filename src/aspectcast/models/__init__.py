@@ -9,7 +9,7 @@ import numpy as np
 
 from ..features import FeatureMatrix, GrowthSeries
 from .arima import ArimaModel, fit_arima, forecast_arima
-from .linear import FitError, LinearModel, fit_lr, predict_lr
+from .linear import FitError, LinearModel, fit_lr, positive_number, predict_lr
 from .mlp import MlpModel, MlpSpec, fit_mlp, mlp_residual_fn
 from .serialize import model_from_json, model_to_json
 from .svr import SvrModel, SvrSpec, fit_nusvr, rbf_kernel

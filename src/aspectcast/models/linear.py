@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,12 @@ __all__ = ["LinearModel", "FitError", "fit_lr", "predict_lr"]
 
 class FitError(ValueError):
     """Model fitting failed."""
+
+
+def positive_number(value) -> bool:
+    """True for an int or float (not a bool) in (0, inf)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf)
 
 
 @dataclass

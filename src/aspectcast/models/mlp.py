@@ -13,7 +13,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from ..optimize import lm_step, half_sse, OptimizerStalled
-from .linear import FitError
+from .linear import FitError, positive_number
 
 __all__ = ["MlpModel", "MlpSpec", "fit_mlp", "mlp_residual_fn"]
 
@@ -117,6 +117,9 @@ def fit_mlp(train: FeatureMatrix, spec: MlpSpec | None = None) -> MlpModel:
         raise FitError(f"need at least 5 rows to train the perceptron, got {train.n_rows}")
     if spec.hidden_size < 1:
         raise FitError("hidden_size must be >= 1")
+    # lm_step grows a rejected step's damping tenfold, which never lifts 0 to lam_max
+    if not positive_number(spec.lambda0):
+        raise FitError("lambda0 must be > 0")
 
     rng = np.random.default_rng(spec.seed)
     n = train.n_rows

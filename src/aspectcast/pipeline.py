@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -14,7 +14,7 @@ from . import features as features_mod
 from . import sentiment as sentiment_mod
 from .evaluation import EvalReport, backtest
 from .features import FeatureMatrix, GrowthSeries
-from .models import PARAMS, ForecasterSpec
+from .models import PARAMS, ForecasterSpec, positive_number
 
 __all__ = ["PipelineConfig", "StageError", "load_inputs", "score_reviews",
            "build_perceptions", "build_features", "build_matrix", "run_pipeline",
@@ -46,19 +46,22 @@ CONFIG_KEYS = frozenset({"reviews", "revenue", "vocabulary", "lexicon", "heurist
                          "include_lag", "split_ratio", "seed", "models", "out"})
 # keys of a ``models`` entry besides the params of its kind
 MODEL_ENTRY_KEYS = frozenset({"kind", "label", "aspects", "seed"})
+PATH_KEYS = ("reviews", "revenue", "vocabulary", "lexicon", "heuristics", "out")
 
 
 def _check_model_entry(entry) -> None:
     if not isinstance(entry, dict) or entry.get("kind") not in PARAMS:
         raise StageError("config", f"model entry needs a kind out of {list(PARAMS)}: {entry!r}")
+    label = entry.get("label", entry["kind"])
     unknown = sorted(set(entry) - MODEL_ENTRY_KEYS - set(PARAMS[entry["kind"]]))
     if unknown:
-        raise StageError("config", f"unknown keys {unknown} in model {entry.get('label', entry['kind'])!r}")
+        raise StageError("config", f"unknown keys {unknown} in model {label!r}")
+    if not _integer(entry.get("seed", 0)):
+        raise StageError("config", f"seed of model {label!r} must be an integer, got {entry['seed']!r}")
 
 
-def _positive_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf)
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _bundled(name: str) -> Path:
@@ -102,6 +105,12 @@ class PipelineConfig:
         for entry in models:
             _check_model_entry(entry)
 
+        for key in PATH_KEYS:
+            value = merged.get(key, "")
+            # an input path of null means the default input
+            if not isinstance(value, (str, os.PathLike)) and (value is not None or key == "out"):
+                raise StageError("config", f"{key} must be a path string, got {value!r}")
+
         def resolve(key, default=None):
             value = merged.get(key, default)
             if value is None:
@@ -116,8 +125,12 @@ class PipelineConfig:
             raise StageError("config", f"include_lag must be true or false, got {include_lag!r}")
         split_ratio = merged.get("split_ratio", (2, 1))
         if not (isinstance(split_ratio, (list, tuple)) and len(split_ratio) == 2
-                and all(_positive_number(v) for v in split_ratio)):
+                and all(positive_number(v) for v in split_ratio)):
             raise StageError("config", f"split_ratio must be two positive numbers, got {split_ratio!r}")
+
+        seed = merged.get("seed", 0)
+        if not _integer(seed):
+            raise StageError("config", f"seed must be an integer, got {seed!r}")
 
         reviews = resolve("reviews") or _bundled("synthetic/reviews.jsonl")
         revenue = resolve("revenue") or _bundled("synthetic/revenue.csv")
@@ -130,7 +143,7 @@ class PipelineConfig:
             aspect_set=merged.get("aspects", 16),
             include_lag=include_lag,
             split_ratio=tuple(split_ratio),
-            seed=int(merged.get("seed", 0)),
+            seed=seed,
             models=[dict(m) for m in models],
             out_dir=Path(merged.get("out", "out")),
         )
@@ -189,16 +202,24 @@ def load_inputs(cfg: PipelineConfig):
 
 
 def score_reviews(reviews, lexicon, heuristics):
-    """Sentiment scores per review, in input order."""
+    """Sentiment scores of every review, in input order (``aspectcast sentiment``)."""
     return [sentiment_mod.analyze(r.text, lexicon, heuristics) for r in reviews]
 
 
-def build_perceptions(reviews, scores, vocab):
-    """Per-(aspect, quarter) perception records over the matched reviews."""
+def build_perceptions(reviews, vocab, lexicon, heuristics):
+    """Per-(aspect, quarter) perception records over the matched reviews.
+
+    A review is scored only when it matches an aspect, because no other
+    review reaches a perception.
+    """
     buckets: dict = {}
-    for review, score in zip(reviews, scores, strict=True):
-        for match in aspects_mod.match_aspects(review, vocab):
-            buckets.setdefault((match.aspect_id, review.quarter), []).append(score.compound)
+    for review in reviews:
+        matches = aspects_mod.match_aspects(review, vocab)
+        if not matches:
+            continue
+        compound = sentiment_mod.analyze(review.text, lexicon, heuristics).compound
+        for match in matches:
+            buckets.setdefault((match.aspect_id, review.quarter), []).append(compound)
     return [
         features_mod.perception(aspect_id, quarter, compounds)
         for (aspect_id, quarter), compounds in sorted(
@@ -215,8 +236,7 @@ def build_features(reviews, revenue, vocab, lexicon, heuristics):
     """
     try:
         growth = features_mod.revenue_growth(revenue)
-        scores = score_reviews(reviews, lexicon, heuristics)
-        perceptions = build_perceptions(reviews, scores, vocab)
+        perceptions = build_perceptions(reviews, vocab, lexicon, heuristics)
     except ValueError as e:  # FeatureError included
         raise StageError("features", str(e)) from None
     return growth, perceptions
@@ -242,7 +262,7 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         kind = entry.pop("kind")
         label = entry.pop("label", kind)
         aspect_value = entry.pop("aspects", cfg.aspect_set)
-        seed = int(entry.pop("seed", cfg.seed))
+        seed = entry.pop("seed", cfg.seed)
         spec = ForecasterSpec.make(kind, label=label, seed=seed, **entry)
         key = json.dumps(aspect_value)
         if key not in matrices:

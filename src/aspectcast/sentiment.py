@@ -118,9 +118,13 @@ _NEGATIONS = {
 _DISTANCE_DECAY = (1.0, 0.95, 0.9)
 
 _WORD_CLEAN_RE = re.compile(r"^\W+|\W+$")
+# the ASCII characters \W matches: all but letters, digits and "_"
+_ASCII_NONWORD = "".join(c for c in map(chr, range(128)) if not (c.isalnum() or c == "_"))
 
 
 def _clean(token: str) -> str:
+    if token.isascii():
+        return token.strip(_ASCII_NONWORD).replace("'", "")
     return _WORD_CLEAN_RE.sub("", token).replace("'", "")
 
 

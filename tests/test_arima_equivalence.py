@@ -176,7 +176,7 @@ def assert_same_fit(y, orders):
 
 def _bundled_growth():
     data = resources.files("aspectcast").joinpath("data/synthetic/revenue.csv").read_bytes()
-    return revenue_growth(parse_revenue(data)).as_array()
+    return np.asarray(revenue_growth(parse_revenue(data)).values, dtype=float)
 
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)

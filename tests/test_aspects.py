@@ -11,7 +11,6 @@ from aspectcast.aspects import (
     default_vocabulary,
     load_vocabulary,
     match_aspects,
-    term_frequencies,
 )
 from aspectcast.corpus import Quarter, Review
 
@@ -119,24 +118,3 @@ class TestMatchAspects:
         small_pairs = {(m.aspect_id, p) for m in small for p in m.matched_phrases}
         large_pairs = {(m.aspect_id, p) for m in large for p in m.matched_phrases}
         assert small_pairs <= large_pairs
-
-
-class TestTermFrequencies:
-    def test_counts(self):
-        reviews = [review("good good", "a"), review("good bad", "b")]
-        assert term_frequencies(reviews, 2, stopwords=frozenset()) == [("good", 3), ("bad", 1)]
-
-    def test_empty(self):
-        assert term_frequencies([], 5) == []
-
-    def test_top_one(self):
-        reviews = [review("a b", "a"), review("b c", "b")]
-        assert term_frequencies(reviews, 1, stopwords=frozenset()) == [("b", 2)]
-
-    def test_tie_break_lexicographic(self):
-        reviews = [review("beta alpha", "a")]
-        assert term_frequencies(reviews, 2, stopwords=frozenset()) == [("alpha", 1), ("beta", 1)]
-
-    def test_stopwords_excluded(self):
-        reviews = [review("the the support", "a")]
-        assert term_frequencies(reviews, 5) == [("support", 1)]

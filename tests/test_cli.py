@@ -11,6 +11,8 @@ import pytest
 
 import aspectcast
 from aspectcast.cli import main
+from aspectcast.corpus import parse_reviews
+from aspectcast.pipeline import PipelineConfig
 
 REPORT_FILES = ("report.csv", "report.json", "plot_data.csv")
 
@@ -110,6 +112,23 @@ class TestStages:
         report = (out / "report.csv").read_text().splitlines()
         assert report[0] == "model,mse,rmse,theils_u"
         assert report[1].startswith("SVM,")
+
+    def test_ingest_keeps_unicode_line_separators_in_text(self, tmp_path):
+        config = write_small_corpus(tmp_path)
+        texts = [f"Great cost savings{sep}and a fast network" for sep in ("\u2028", "\u2029", "\x85")]
+        (tmp_path / "reviews.jsonl").write_text("".join(
+            json.dumps({"id": f"r{i}", "quarter": "2016Q1", "text": t}, ensure_ascii=False) + "\n"
+            for i, t in enumerate(texts)), "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--config", str(config), "--out", str(out)]) == 0
+        written = parse_reviews((out / "reviews.jsonl").read_bytes(), "jsonl")
+        assert [r.text for r in written] == texts
+
+    def test_null_input_path_is_the_default(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"reviews": None, "revenue": None, "lexicon": None}))
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "reviews.jsonl").read_text("utf-8").splitlines()) == 224
 
     def test_pipeline_small(self, tmp_path):
         config = write_small_corpus(tmp_path)
@@ -245,6 +264,67 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"error [{command}] {features} line 3: {problem}" in err
         assert not (tmp_path / "out2").exists()
+
+    @pytest.mark.parametrize("value", [2.9, True, "3", None])
+    @pytest.mark.parametrize("where", ["config", "model"])
+    def test_seed_not_an_integer(self, tmp_path, capsys, value, where):
+        config = tmp_path / "config.json"
+        if where == "config":
+            config.write_text(json.dumps({"seed": value}))
+            named = f"seed must be an integer, got {value!r}"
+        else:
+            config.write_text(json.dumps({"models": [{"kind": "mlp", "label": "ANN", "seed": value}]}))
+            named = f"seed of model 'ANN' must be an integer, got {value!r}"
+        assert main(["features", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error [config] {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        *[(key, bad) for key in ("reviews", "revenue", "vocabulary", "lexicon", "heuristics", "out")
+          for bad in (5, ["a.jsonl"], True)],
+        ("out", None),
+    ])
+    def test_path_not_a_string(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        args = [] if key == "out" else ["--out", str(tmp_path / "out")]
+        assert main(["features", "--config", str(config), *args]) == 1
+        assert f"error [config] {key} must be a path string, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_path_objects_are_paths(self, tmp_path):
+        cfg = PipelineConfig.defaults(out=tmp_path, reviews=tmp_path / "r.jsonl")
+        assert cfg.out_dir == tmp_path and cfg.reviews_path == tmp_path / "r.jsonl"
+
+    @pytest.mark.parametrize("lambda0", ["0", "-1", "0.0", "Infinity", "NaN", "true"])
+    def test_mlp_lambda0_not_positive(self, tmp_path, lambda0):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        src = str(Path(aspectcast.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # a zero damping never grows, so a fit that accepts it retries forever
+        done = subprocess.run(
+            [sys.executable, "-m", "aspectcast.cli", "fit", "--features", str(out / "features.csv"),
+             "--kind", "mlp", "--params", f'{{"lambda0": {lambda0}}}', "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "error [fit] lambda0 must be > 0" in done.stderr
+        assert not (out / "model_mlp.json").exists()
+
+    @pytest.mark.parametrize("name, data", [
+        ("reviews.jsonl", b'{"id": "a", "quarter": "2016Q1", "text": "caf\xe9"}\n'),
+        ("reviews.csv", b"id,quarter,text\na,2016Q1,caf\xe9\n"),
+    ])
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_reviews_not_utf8(self, tmp_path, capsys, name, data, command):
+        (tmp_path / name).write_bytes(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"reviews": name}))
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [ingest] {tmp_path / name}: not valid UTF-8" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("entry, named", [
         ({"kind": "svr", "label": "SVM", "gama": 5}, "'gama'"),

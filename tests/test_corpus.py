@@ -24,6 +24,17 @@ class TestQuarter:
         with pytest.raises(CorpusError):
             Quarter.parse("Q42016")
 
+    def test_equal_labels_share_one_instance(self):
+        assert Quarter.parse("2016Q4") is Quarter.parse("2016Q4")
+        assert Quarter.parse("2016Q4") == Quarter(2016, 4)
+        assert Quarter.parse("2017Q1") is not Quarter.parse("2016Q4")
+
+    @pytest.mark.parametrize("label", ["2016Q5", "2016Q0", "Q42016", "", "2016q4"])
+    def test_bad_labels_still_rejected(self, label):
+        for _ in range(2):  # a failed parse is not remembered
+            with pytest.raises(CorpusError, match="invalid quarter label"):
+                Quarter.parse(label)
+
     def test_next_prev_roundtrip(self):
         for q in [Quarter(2016, 1), Quarter(2016, 4), Quarter(2017, 2)]:
             assert q.prev().next() == q

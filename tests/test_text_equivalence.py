@@ -220,6 +220,13 @@ class TestAnalyzeEquivalence:
         "good but",
         "don't like it but it's great!!",
         "team's great?? really??",
+        # token cleaning: ASCII tokens strip their non-word edges, others use the regex
+        "(good), [bad]; {great}: \"happy\" <slow> *terrible* #reliable @outage ~good~ `bad`",
+        "-good- +bad+ =great= |happy| \\slow/ ^terrible^ $reliable% &outage&",
+        "_good_ __bad great_ _happy",
+        "don't isn't can't 'good' ''great'' it's o'reilly's",
+        "«good» „bad“ good… …bad ¡great! ¿happy? ‘good’ “bad”",
+        "«_good_» good_… \x7fgood\x7f \x01bad\x02",
     ])
     def test_examples(self, text):
         assert_same_scores(text, LEXICON)
