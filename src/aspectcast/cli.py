@@ -16,7 +16,7 @@ from . import evaluation as eval_mod
 from . import features as features_mod
 from .models import KINDS, ForecasterSpec, fit_spec, model_from_json, model_to_json, predict_with
 from .pipeline import (PipelineConfig, StageError, build_features, build_matrix, load_inputs,
-                       run_pipeline, score_reviews)
+                       read_input, run_pipeline, score_reviews)
 
 
 def _load_config(args, extra_overrides=None) -> PipelineConfig:
@@ -34,10 +34,13 @@ def _load_config(args, extra_overrides=None) -> PipelineConfig:
 
 
 def _read_features(args) -> features_mod.FeatureMatrix:
-    try:
-        return features_mod.FeatureMatrix.from_csv(Path(args.features).read_bytes())
-    except features_mod.FeatureError as e:
-        raise StageError(args.command, f"{args.features} {e}") from None
+    def parse(data):
+        try:
+            return features_mod.FeatureMatrix.from_csv(data)
+        except features_mod.FeatureError as e:  # e starts with its line number
+            raise StageError(args.command, f"{args.features} {e}") from None
+
+    return read_input(args.command, args.features, parse)
 
 
 def _write(out_dir: Path, name: str, data: bytes) -> Path:
@@ -98,7 +101,7 @@ def cmd_fit(args) -> None:
 
 def cmd_predict(args) -> None:
     cfg = _load_config(args)
-    model = model_from_json(Path(args.model).read_bytes())
+    model = read_input("predict", args.model, model_from_json)
     matrix = _read_features(args)
     try:
         predicted = predict_with(model, matrix)
@@ -115,7 +118,7 @@ def cmd_predict(args) -> None:
 def cmd_evaluate(args) -> None:
     cfg = _load_config(args)
     matrix = _read_features(args)
-    reader = csv.DictReader(io.StringIO(Path(args.predictions).read_text("utf-8")))
+    reader = csv.DictReader(io.StringIO(read_input("evaluate", args.predictions, bytes.decode)))
     absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
     if absent:
         raise StageError("evaluate", f"{args.predictions}: missing columns {absent}")

@@ -48,7 +48,8 @@ class LinearModel:
         return self.intercept + matrix.X[:, idx] @ coefs
 
 
-def _ols(X: np.ndarray, y: np.ndarray, columns: list):
+def _coefficients(X: np.ndarray, y: np.ndarray, columns: list):
+    """The least-squares fit with an intercept: ``(design, r, beta)``."""
     n, k = X.shape
     design = np.column_stack([np.ones(n), X])
     q, r = np.linalg.qr(design)
@@ -57,7 +58,13 @@ def _ols(X: np.ndarray, y: np.ndarray, columns: list):
     if np.any(diag < tol):
         bad = [("intercept" if j == 0 else columns[j - 1]) for j in np.where(diag < tol)[0]]
         raise FitError(f"rank-deficient design, collinear columns: {bad}")
-    beta = np.linalg.solve(r, q.T @ y)
+    return design, r, np.linalg.solve(r, q.T @ y)
+
+
+def _ols(X: np.ndarray, y: np.ndarray, columns: list):
+    """``_coefficients``'s beta with its two-sided p-values, for stepwise selection."""
+    n, k = X.shape
+    design, r, beta = _coefficients(X, y, columns)
     residuals = y - design @ beta
     dof = n - (k + 1)
     if dof > 0:
@@ -67,7 +74,8 @@ def _ols(X: np.ndarray, y: np.ndarray, columns: list):
         var_beta = sigma2 * np.sum(rinv * rinv, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             tstats = beta / np.sqrt(var_beta)
-        # imported on first use: scipy.special takes ~0.3 s to import, which commands fitting no LR skip
+        # imported on first use: scipy.special takes ~0.3 s and ~26 MiB to
+        # import, which fits that read no p-value skip
         from scipy.special import stdtr
 
         pvalues = 2.0 * stdtr(dof, -np.abs(tstats))
@@ -94,8 +102,12 @@ def fit_lr(train: FeatureMatrix, selection: str = "all", threshold: float = 0.3)
     while True:
         idx = [columns.index(c) for c in active]
         X = train.X[:, idx] if idx else np.empty((train.n_rows, 0))
+        if selection == "all":
+            # nothing reads p-values here, so SciPy is not imported
+            beta = _coefficients(X, train.y, active)[2]
+            break
         beta, pvalues = _ols(X, train.y, active)
-        if selection == "all" or not active:
+        if not active:
             break
         feature_p = pvalues[1:]  # skip intercept
         worst = int(np.argmax(feature_p)) if len(feature_p) else -1

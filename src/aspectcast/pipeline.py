@@ -16,7 +16,7 @@ from .evaluation import EvalReport, backtest
 from .features import FeatureMatrix, GrowthSeries
 from .models import PARAMS, ForecasterSpec, positive_number
 
-__all__ = ["PipelineConfig", "StageError", "load_inputs", "score_reviews",
+__all__ = ["PipelineConfig", "StageError", "read_input", "load_inputs", "score_reviews",
            "build_perceptions", "build_features", "build_matrix", "run_pipeline",
            "DEFAULT_MODELS"]
 
@@ -102,6 +102,8 @@ class PipelineConfig:
         if unknown:
             raise StageError("config", f"unknown config keys {unknown}")
         models = merged.get("models", DEFAULT_MODELS)
+        if not isinstance(models, (list, tuple)):
+            raise StageError("config", f"models must be a list of model entries, got {models!r}")
         for entry in models:
             _check_model_entry(entry)
 
@@ -166,38 +168,35 @@ def resolve_aspect_set(value) -> list:
     raise StageError("config", f"bad aspect set: {value!r}")
 
 
+def read_input(stage: str, path, parse):
+    """``parse`` of the bytes of the file at ``path``.
+
+    A file that cannot be read, is not UTF-8 or does not parse fails
+    ``stage`` with an error that names ``path``.
+    """
+    try:
+        return parse(Path(path).read_bytes())
+    except UnicodeDecodeError as e:
+        raise StageError(stage, f"{path}: not valid UTF-8 ({e.reason})") from None
+    except (OSError, ValueError) as e:
+        raise StageError(stage, f"{path}: {e}") from None
+
+
 def load_inputs(cfg: PipelineConfig):
     """Parse reviews, revenue, vocabulary, lexicon, and heuristics per config.
 
     A reviews path ending in ``.csv`` is read as CSV, any other as JSONL.
     """
     reviews_format = "csv" if Path(cfg.reviews_path).suffix == ".csv" else "jsonl"
-    try:
-        reviews = corpus_mod.parse_reviews(Path(cfg.reviews_path).read_bytes(), reviews_format)
-    except (OSError, corpus_mod.CorpusError) as e:
-        raise StageError("ingest", f"{cfg.reviews_path}: {e}") from None
-    try:
-        revenue = corpus_mod.parse_revenue(Path(cfg.revenue_path).read_bytes())
-    except (OSError, corpus_mod.CorpusError) as e:
-        raise StageError("ingest", f"{cfg.revenue_path}: {e}") from None
-    try:
-        if cfg.vocabulary_path:
-            vocab = aspects_mod.load_vocabulary(Path(cfg.vocabulary_path).read_bytes())
-        else:
-            vocab = aspects_mod.default_vocabulary()
-    except (OSError, aspects_mod.VocabularyError) as e:
-        raise StageError("ingest", f"vocabulary: {e}") from None
-    try:
-        if cfg.lexicon_path:
-            lexicon = sentiment_mod.load_lexicon(Path(cfg.lexicon_path).read_bytes())
-        else:
-            lexicon = sentiment_mod.default_lexicon()
-        if cfg.heuristics_path:
-            heuristics = sentiment_mod.HeuristicConfig.from_json(Path(cfg.heuristics_path).read_bytes())
-        else:
-            heuristics = sentiment_mod.HeuristicConfig()
-    except (OSError, ValueError) as e:
-        raise StageError("ingest", f"lexicon/heuristics: {e}") from None
+    reviews = read_input("ingest", cfg.reviews_path,
+                         lambda data: corpus_mod.parse_reviews(data, reviews_format))
+    revenue = read_input("ingest", cfg.revenue_path, corpus_mod.parse_revenue)
+    vocab = (read_input("ingest", cfg.vocabulary_path, aspects_mod.load_vocabulary)
+             if cfg.vocabulary_path else aspects_mod.default_vocabulary())
+    lexicon = (read_input("ingest", cfg.lexicon_path, sentiment_mod.load_lexicon)
+               if cfg.lexicon_path else sentiment_mod.default_lexicon())
+    heuristics = (read_input("ingest", cfg.heuristics_path, sentiment_mod.HeuristicConfig.from_json)
+                  if cfg.heuristics_path else sentiment_mod.HeuristicConfig())
     return reviews, revenue, vocab, lexicon, heuristics
 
 

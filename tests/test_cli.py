@@ -185,6 +185,23 @@ print(json.dumps([at_start, scipy_modules()]))
 """
 
 
+# Fits LR with every feature as the default models do, then runs the default
+# pipeline, printing the SciPy modules loaded by then.
+COLD_START_DEFAULT = """
+import json, sys, tempfile
+from aspectcast import cli
+from aspectcast.features import chronological_split
+from aspectcast.models import fit_lr
+from aspectcast.pipeline import PipelineConfig, build_features, build_matrix, load_inputs
+cfg = PipelineConfig.defaults()
+matrix = build_matrix(cfg, *build_features(*load_inputs(cfg)))
+fit_lr(chronological_split(matrix)[0], selection="all")
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["pipeline", "--out", out]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
 class TestColdStart:
     def test_scipy_loads_only_on_first_lr_fit(self):
         src = str(Path(aspectcast.__file__).resolve().parents[1])
@@ -197,6 +214,15 @@ class TestColdStart:
         assert at_start == []
         assert "scipy.special" in after_fit
         assert "scipy.stats" not in after_fit
+
+    def test_default_path_never_loads_scipy(self):
+        src = str(Path(aspectcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", COLD_START_DEFAULT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        # only stepwise selection reads p-values, and no default model selects
+        assert json.loads(done.stdout) == []
 
 
 class TestErrors:
@@ -324,6 +350,50 @@ class TestErrors:
         assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"error [ingest] {tmp_path / name}: not valid UTF-8" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["revenue", "vocabulary", "lexicon", "heuristics"])
+    def test_input_not_utf8(self, tmp_path, capsys, key):
+        (tmp_path / "bad").write_bytes(b"\xff\xfe")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "bad"}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [ingest] {tmp_path / 'bad'}: not valid UTF-8 (invalid start byte)" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("fit", "--features"), ("predict", "--features"), ("predict", "--model"),
+        ("evaluate", "--features"), ("evaluate", "--predictions"),
+    ])
+    def test_command_input_not_utf8(self, tmp_path, capsys, command, option):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        main(["fit", "--features", str(out / "features.csv"), "--kind", "arima", "--out", str(out)])
+        main(["predict", "--model", str(out / "model_arima.json"),
+              "--features", str(out / "features.csv"), "--out", str(out)])
+        args = {
+            "fit": {"--features": out / "features.csv", "--kind": "arima"},
+            "predict": {"--model": out / "model_arima.json", "--features": out / "features.csv"},
+            "evaluate": {"--features": out / "features.csv", "--predictions": out / "predictions.csv"},
+        }[command]
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe")
+        args[option] = bad
+        argv = [command, *(str(x) for pair in args.items() for x in pair)]
+        assert main([*argv, "--out", str(tmp_path / "out2")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [{command}] {bad}: not valid UTF-8 (invalid start byte)" in err
+        assert not (tmp_path / "out2").exists()
+
+    @pytest.mark.parametrize("value", [5, None, {"kind": "lr"}, "lr"])
+    def test_models_not_a_list(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": value}))
+        assert main(["features", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [config] models must be a list of model entries, got {value!r}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("entry, named", [

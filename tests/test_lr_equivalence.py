@@ -3,12 +3,14 @@ copy of the OLS fit they replaced, which took them from ``scipy.stats.t.sf``.
 
 Both must agree bit for bit (compared by ``repr``, so inf, nan and the sign of
 zero count), and fail with the same error, because stepwise selection decides
-which features survive and report bytes are pinned downstream.
+which features survive and report bytes are pinned downstream. An all-features
+fit computes no p-values, and ``TestGeneratedEquivalence.test_all`` checks
+that it still returns the frozen fit's coefficients.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from aspectcast.features import chronological_split
@@ -217,3 +219,16 @@ class TestGeneratedEquivalence:
         X, y = design
         with np.errstate(all="ignore"):
             assert_same_fit(matrix(X, y), "backward_stepwise", threshold)
+
+    # the designs of TestEdgeCases: an exact intercept-only fit (|t| = inf),
+    # a zero target (t = 0/0) and collinear columns (FitError)
+    @given(designs())
+    @example((np.empty((4, 0)), np.full(4, 2.5)))
+    @example((np.array([[1.0], [2.0], [4.0], [7.0]]), np.zeros(4)))
+    @example((np.ones((6, 2)), np.arange(6.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_all(self, design):
+        # "all" computes no p-values; the reference still does
+        X, y = design
+        with np.errstate(all="ignore"):
+            assert_same_fit(matrix(X, y), "all", 0.3)
