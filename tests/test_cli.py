@@ -22,6 +22,14 @@ BUNDLED_DIGESTS = {
     "report.json": "fd9fb4e40b745640e3c21db8939e2c6f7937a7ec49266fe155b5aaca1e42cd2c",
     "plot_data.csv": "1f99e9d061b49a3f4d4780fa7df3c1e592c0844017ba73926867fba91a049bb6",
 }
+# sha256 of each kind's `aspectcast fit` model file, default params, on the
+# bundled corpus's `aspectcast features` matrix
+MODEL_DIGESTS = {
+    "lr": "5b35f1edb87630753e821e8923a8f81e30ba192dc14f60c9bf5b7650b373327e",
+    "mlp": "036acb1522be13f3ed1883c5319a154ee77e305909669d85d63bd20982571a64",
+    "svr": "c455f6a4f5ed731ded6a2b18a16444384d6934e39c9fe2b27570a57b5a2bc086",
+    "arima": "d109836b4329c7000e432d79145992ec13be434a27edd45cb7d070a5fde29768",
+}
 
 
 def write_small_corpus(tmp_path, quarters=8):
@@ -147,6 +155,16 @@ class TestBundledReports:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in REPORT_FILES}
         assert digests == BUNDLED_DIGESTS
+
+    def test_pinned_model_files(self, tmp_path):
+        # the report digests see only predictions; these pin every byte of a model file
+        assert main(["features", "--out", str(tmp_path)]) == 0
+        digests = {}
+        for kind in MODEL_DIGESTS:
+            assert main(["fit", "--features", str(tmp_path / "features.csv"), "--kind", kind,
+                         "--out", str(tmp_path)]) == 0
+            digests[kind] = hashlib.sha256((tmp_path / f"model_{kind}.json").read_bytes()).hexdigest()
+        assert digests == MODEL_DIGESTS
 
     def test_csv_corpus_matches_jsonl(self, tmp_path):
         data = resources.files("aspectcast").joinpath("data/synthetic/reviews.jsonl").read_text("utf-8")
