@@ -14,7 +14,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import features as features_mod
-from .models import KINDS, ForecasterSpec, fit_spec, model_from_json, model_to_json, predict_with
+from .models import SPECS, ForecasterSpec, fit_spec, model_from_json, model_to_json, predict_with
 from .pipeline import (PipelineConfig, StageError, build_features, build_matrix, load_inputs,
                        read_input, run_pipeline, score_reviews)
 
@@ -124,9 +124,12 @@ def cmd_evaluate(args) -> None:
         raise StageError("evaluate", f"{args.predictions}: missing columns {absent}")
     predicted = {}
     for row in reader:
-        if None in (row["quarter"], row["predicted"]):
-            raise StageError("evaluate", f"{args.predictions} line {reader.line_num}: too few fields")
-        predicted[row["quarter"]] = float(row["predicted"])
+        try:
+            if None in (row["quarter"], row["predicted"]):
+                raise ValueError("too few fields")
+            predicted[row["quarter"]] = float(row["predicted"])
+        except ValueError as e:
+            raise StageError("evaluate", f"{args.predictions} line {reader.line_num}: {e}") from None
     missing = [str(q) for q in matrix.quarters if str(q) not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one model on a feature CSV")
     common(p)
     p.add_argument("--features", required=True)
-    p.add_argument("--kind", required=True, choices=KINDS)
+    p.add_argument("--kind", required=True, choices=list(SPECS))
     p.add_argument("--params", help="JSON object of model hyperparameters")
     p.set_defaults(fn=cmd_fit)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureMatrix, GrowthSeries, chronological_split
+from .features import SPLIT_RATIO, FeatureMatrix, GrowthSeries, chronological_split
 from .models import ForecasterSpec, fit_spec, predict_with
 from .models import forecast_arima  # noqa: F401  perfbench/tracing.py wraps this attribute
 
@@ -104,7 +104,7 @@ class EvalReport:
 def backtest(
     spec: ForecasterSpec,
     matrix: FeatureMatrix,
-    split_ratio=(2, 1),
+    split_ratio=SPLIT_RATIO.default,
     growth: GrowthSeries | None = None,
 ) -> EvalRow:
     """Fit on the chronological training prefix, score the held-out suffix.
@@ -115,7 +115,7 @@ def backtest(
     try:
         predicted = predict_with(fit_spec(spec, train, growth), test)
     except Exception as e:
-        raise MetricError(f"model {spec.label!r} failed to fit: {e}") from e
+        raise MetricError(f"failed to fit: {e}") from e
 
     actual = test.y
     history = float(train.y[-1])

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Quarter, RevenueSeries
+from .schema import Key
 
 __all__ = [
     "PerceptionRecord",
@@ -23,6 +24,7 @@ __all__ = [
 ]
 
 LAG_COLUMN = "lagged_growth"
+SPLIT_RATIO = Key("number", count=2, low=0, open_low=True, name="split_ratio", default=(2, 1))
 
 
 class FeatureError(ValueError):
@@ -133,7 +135,7 @@ def assemble(
     perceptions: list[PerceptionRecord],
     growth: GrowthSeries,
     aspect_ids: list[str],
-    include_lag: bool = True,
+    include_lag: bool,
 ) -> FeatureMatrix:
     """Build the design matrix: one row per target quarter, one column per aspect.
 
@@ -169,11 +171,11 @@ def assemble(
     return FeatureMatrix(quarters=quarters, columns=columns, X=X, y=y)
 
 
-def chronological_split(matrix: FeatureMatrix, ratio: tuple[float, float] = (2, 1)):
+def chronological_split(matrix: FeatureMatrix, ratio: tuple[float, float] = SPLIT_RATIO.default):
     """Time-ordered split: earliest ceil(n*train/(train+test)) rows train, rest test."""
+    if not SPLIT_RATIO.accepts(ratio):
+        raise FeatureError(SPLIT_RATIO.problem(ratio))
     train_part, test_part = ratio
-    if train_part <= 0 or test_part <= 0:
-        raise FeatureError("both ratio parts must be positive")
     n = matrix.n_rows
     if n < 2:
         raise FeatureError("need at least 2 rows to split")

@@ -7,9 +7,10 @@ from importlib import resources
 
 import numpy as np
 
+from .. import schema
 from ..features import FeatureMatrix, GrowthSeries
-from .arima import ArimaModel, fit_arima, forecast_arima
-from .linear import FitError, LinearModel, fit_lr, positive_number, predict_lr
+from .arima import ArimaModel, ArimaSpec, fit_arima, forecast_arima
+from .linear import FitError, LinearModel, LrSpec, fit_lr, predict_lr
 from .mlp import MlpModel, MlpSpec, fit_mlp, mlp_residual_fn
 from .serialize import model_from_json, model_to_json
 from .svr import SvrModel, SvrSpec, fit_nusvr, rbf_kernel
@@ -18,11 +19,13 @@ __all__ = [
     "ForecasterSpec",
     "FitError",
     "LinearModel",
+    "LrSpec",
     "MlpModel",
     "MlpSpec",
     "SvrModel",
     "SvrSpec",
     "ArimaModel",
+    "ArimaSpec",
     "fit_lr",
     "predict_lr",
     "fit_mlp",
@@ -36,15 +39,9 @@ __all__ = [
     "load_reference_model",
 ]
 
-# The params each kind takes; fit_spec rejects any other, so a typo fails
-# instead of silently fitting the default.
-PARAMS = {
-    "lr": ("selection", "threshold"),
-    "mlp": ("hidden_size", "max_epochs", "lambda0", "validation_patience"),
-    "svr": ("gamma", "nu", "C"),
-    "arima": ("orders",),
-}
-KINDS = tuple(PARAMS)
+# Each kind's params are the keys its spec declares; fit_spec rejects any
+# other, so a typo fails instead of silently fitting the default.
+SPECS = {"lr": LrSpec, "mlp": MlpSpec, "svr": SvrSpec, "arima": ArimaSpec}
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,7 @@ class ForecasterSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SPECS:
             raise FitError(f"unknown model kind: {self.kind!r}")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
@@ -76,31 +73,20 @@ def fit_spec(spec: ForecasterSpec, train: FeatureMatrix, growth: GrowthSeries | 
     ARIMA trains on the ``growth`` values through the last training quarter,
     or on ``train.y`` when ``growth`` is None; the other kinds ignore ``growth``.
     """
-    p = spec.param_dict()
-    unknown = sorted(set(p).difference(PARAMS[spec.kind]))
-    if unknown:
-        raise FitError(f"unknown {spec.kind} params {unknown}; it takes {list(PARAMS[spec.kind])}")
+    params = schema.validate(schema.keys(SPECS[spec.kind]), spec.param_dict(), FitError)
     if spec.kind == "lr":
-        return fit_lr(train, selection=p.get("selection", "all"), threshold=p.get("threshold", 0.3))
+        return fit_lr(train, **params)
     if spec.kind == "mlp":
-        mspec = MlpSpec(
-            hidden_size=p.get("hidden_size", 10),
-            max_epochs=p.get("max_epochs", 100),
-            lambda0=p.get("lambda0", 1e-3),
-            validation_patience=p.get("validation_patience", 6),
-            seed=spec.seed,
-        )
-        return fit_mlp(train, mspec)
+        return fit_mlp(train, MlpSpec(**params, seed=spec.seed))
     if spec.kind == "svr":
-        sspec = SvrSpec(gamma=p.get("gamma", 5.0), nu=p.get("nu", 0.5), C=p.get("C", 1.0))
-        return fit_nusvr(train, sspec)
+        return fit_nusvr(train, SvrSpec(**params))
     # arima, the one kind left
     if growth is None:
         history = train.y
     else:
         last = train.quarters[-1]
         history = [v for q, v in zip(growth.quarters, growth.values) if q <= last]
-    return fit_arima(history, tuple(p.get("orders", (1, 0, 0))))
+    return fit_arima(history, **params)
 
 
 def predict_with(model, test: FeatureMatrix) -> np.ndarray:

@@ -15,9 +15,15 @@ import numpy as np
 from ..features import FeatureMatrix
 from ..optimize import lm_minimize, numeric_jacobian_rows
 from ..optimize import numeric_jacobian  # noqa: F401  perfbench/tracing.py wraps this attribute
+from ..schema import check_fields, key
 from .linear import FitError
 
-__all__ = ["ArimaModel", "fit_arima", "forecast_arima"]
+__all__ = ["ArimaModel", "ArimaSpec", "fit_arima", "forecast_arima"]
+
+
+@dataclass
+class ArimaSpec:
+    orders: tuple = key((1, 0, 0), "int", count=3, low=0)  # (p, d, q)
 
 
 @dataclass
@@ -150,9 +156,8 @@ def _residual_fn(w: np.ndarray, p: int, q: int, use_const: bool):
 
 def fit_arima(series, orders: tuple) -> ArimaModel:
     """CSS fit of a 1-d series of values."""
+    check_fields(ArimaSpec(orders), FitError)
     p, d, q = orders
-    if min(p, d, q) < 0:
-        raise FitError("ARIMA orders must be non-negative")
     y = np.asarray(series, dtype=float)
     if len(y) <= d:
         raise FitError(f"series too short to difference {d} times")

@@ -2,24 +2,24 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..features import FeatureMatrix
+from ..schema import check_fields, key
 
-__all__ = ["LinearModel", "FitError", "fit_lr", "predict_lr"]
+__all__ = ["LinearModel", "LrSpec", "FitError", "fit_lr", "predict_lr"]
 
 
 class FitError(ValueError):
     """Model fitting failed."""
 
 
-def positive_number(value) -> bool:
-    """True for an int or float (not a bool) in (0, inf)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 < value < math.inf)
+@dataclass
+class LrSpec:
+    selection: str = key("all", "string", choices=("all", "backward_stepwise"))
+    threshold: float = key(0.3, low=0, high=1)  # the largest p-value stepwise selection keeps
 
 
 @dataclass
@@ -84,19 +84,19 @@ def _ols(X: np.ndarray, y: np.ndarray, columns: list):
     return beta, pvalues
 
 
-def fit_lr(train: FeatureMatrix, selection: str = "all", threshold: float = 0.3) -> LinearModel:
+def fit_lr(train: FeatureMatrix, selection: str = LrSpec.selection,
+           threshold: float = LrSpec.threshold) -> LinearModel:
     """Least-squares fit of the growth target on the feature columns.
 
     ``selection="backward_stepwise"`` repeatedly drops the feature with the
     largest p-value above ``threshold`` and refits, until all survivors pass.
     """
+    check_fields(LrSpec(selection, threshold), FitError)
     columns = list(train.columns)
     if train.n_rows < len(columns) + 1:
         raise FitError(
             f"too few rows ({train.n_rows}) for {len(columns)} features; need at least {len(columns) + 1}"
         )
-    if selection not in ("all", "backward_stepwise"):
-        raise FitError(f"unknown selection mode: {selection!r}")
 
     active = list(columns)
     while True:

@@ -13,7 +13,8 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from ..optimize import lm_step, half_sse, OptimizerStalled
-from .linear import FitError, positive_number
+from ..schema import check_fields, key
+from .linear import FitError
 
 __all__ = ["MlpModel", "MlpSpec", "fit_mlp", "mlp_residual_fn"]
 
@@ -24,11 +25,12 @@ def _sigmoid(x):
 
 @dataclass
 class MlpSpec:
-    hidden_size: int = 10
-    max_epochs: int = 100
-    lambda0: float = 1e-3
-    validation_patience: int = 6
-    seed: int = 0
+    hidden_size: int = key(10, "int", low=1)
+    max_epochs: int = key(100, "int", low=0)
+    # lm_step grows a rejected step's damping tenfold, which never lifts 0 to lam_max
+    lambda0: float = key(1e-3, low=0, open_low=True)
+    validation_patience: int = key(6, "int", low=1)
+    seed: int = 0  # not a param: a model entry's or the run's seed
 
 
 @dataclass
@@ -41,7 +43,7 @@ class MlpModel:
     b2: float
     target_offset: float
     target_scale: float
-    trace: list = field(default_factory=list)  # (epoch, train_err, val_err)
+    trace: list = field(default_factory=list, metadata={"diagnostic": True})  # (epoch, train_err, val_err)
     seed: int = 0
 
     def _forward(self, X: np.ndarray) -> np.ndarray:
@@ -113,13 +115,9 @@ def mlp_residual_fn(X: np.ndarray, t: np.ndarray, H: int):
 def fit_mlp(train: FeatureMatrix, spec: MlpSpec | None = None) -> MlpModel:
     """Train with LM on a seeded 70/15/15 row split, keeping best-validation weights."""
     spec = spec or MlpSpec()
+    check_fields(spec, FitError)
     if train.n_rows < 5:
         raise FitError(f"need at least 5 rows to train the perceptron, got {train.n_rows}")
-    if spec.hidden_size < 1:
-        raise FitError("hidden_size must be >= 1")
-    # lm_step grows a rejected step's damping tenfold, which never lifts 0 to lam_max
-    if not positive_number(spec.lambda0):
-        raise FitError("lambda0 must be > 0")
 
     rng = np.random.default_rng(spec.seed)
     n = train.n_rows

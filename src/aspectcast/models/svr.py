@@ -11,11 +11,12 @@ are preserved exactly, LIBSVM-style.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..features import FeatureMatrix
+from ..schema import check_fields, key
 from .linear import FitError
 
 __all__ = ["SvrModel", "SvrSpec", "fit_nusvr", "rbf_kernel", "dual_objective"]
@@ -23,11 +24,9 @@ __all__ = ["SvrModel", "SvrSpec", "fit_nusvr", "rbf_kernel", "dual_objective"]
 
 @dataclass
 class SvrSpec:
-    gamma: float = 5.0
-    nu: float = 0.5
-    C: float = 1.0
-    tol: float = 1e-3
-    max_iter: int = 100000
+    gamma: float = key(5.0, low=0, open_low=True)
+    nu: float = key(0.5, low=0, high=1, open_low=True)
+    C: float = key(1.0, low=0, open_low=True)
 
 
 @dataclass
@@ -40,7 +39,7 @@ class SvrModel:
     dual_coef: np.ndarray      # alpha - alpha*
     rho: float                 # bias
     epsilon: float             # tube width recovered from the nu formulation
-    kkt_violation: float = 0.0
+    kkt_violation: float = field(default=0.0, metadata={"diagnostic": True})
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         K = rbf_kernel(X, self.support_X, self.gamma)
@@ -162,18 +161,13 @@ def _recover_bias(G, alpha, alpha_star, cu):
 
 def fit_nusvr(train: FeatureMatrix, spec: SvrSpec | None = None) -> SvrModel:
     spec = spec or SvrSpec()
-    if spec.gamma <= 0:
-        raise FitError("gamma must be positive")
-    if not 0 < spec.nu <= 1:
-        raise FitError("nu must lie in (0, 1]")
-    if spec.C <= 0:
-        raise FitError("C must be positive")
+    check_fields(spec, FitError)
     if train.n_rows < 2:
         raise FitError("need at least 2 rows to fit nu-SVR")
 
     X, y = train.X, train.y
     K = rbf_kernel(X, X, spec.gamma)
-    alpha, alpha_star, viol = solve_nusvr_dual(K, y, spec.C, spec.nu, spec.tol, spec.max_iter)
+    alpha, alpha_star, viol = solve_nusvr_dual(K, y, spec.C, spec.nu)
     beta = alpha - alpha_star
     G = K @ beta - y
     rho, eps = _recover_bias(G, alpha, alpha_star, spec.C / len(y))

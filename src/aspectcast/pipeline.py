@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -13,8 +13,9 @@ from . import corpus as corpus_mod
 from . import features as features_mod
 from . import sentiment as sentiment_mod
 from .evaluation import EvalReport, backtest
-from .features import FeatureMatrix, GrowthSeries
-from .models import PARAMS, ForecasterSpec, positive_number
+from .features import SPLIT_RATIO, FeatureMatrix, GrowthSeries
+from .models import SPECS, ForecasterSpec
+from .schema import Key, key, keys, validate
 
 __all__ = ["PipelineConfig", "StageError", "read_input", "load_inputs", "score_reviews",
            "build_perceptions", "build_features", "build_matrix", "run_pipeline",
@@ -31,7 +32,7 @@ class StageError(RuntimeError):
 
 # Table-3-shaped default: the objective baseline plus each subjective model
 # on the 13- and 16-aspect sets.
-DEFAULT_MODELS = [
+DEFAULT_MODELS = (
     {"kind": "arima", "label": "ARIMA", "orders": [1, 0, 0]},
     {"kind": "lr", "label": "LR-13", "aspects": 13},
     {"kind": "lr", "label": "LR-16", "aspects": 16},
@@ -39,29 +40,7 @@ DEFAULT_MODELS = [
     {"kind": "mlp", "label": "ANN-16", "aspects": 16},
     {"kind": "svr", "label": "SVM-13", "aspects": 13},
     {"kind": "svr", "label": "SVM-16", "aspects": 16},
-]
-
-
-CONFIG_KEYS = frozenset({"reviews", "revenue", "vocabulary", "lexicon", "heuristics", "aspects",
-                         "include_lag", "split_ratio", "seed", "models", "out"})
-# keys of a ``models`` entry besides the params of its kind
-MODEL_ENTRY_KEYS = frozenset({"kind", "label", "aspects", "seed"})
-PATH_KEYS = ("reviews", "revenue", "vocabulary", "lexicon", "heuristics", "out")
-
-
-def _check_model_entry(entry) -> None:
-    if not isinstance(entry, dict) or entry.get("kind") not in PARAMS:
-        raise StageError("config", f"model entry needs a kind out of {list(PARAMS)}: {entry!r}")
-    label = entry.get("label", entry["kind"])
-    unknown = sorted(set(entry) - MODEL_ENTRY_KEYS - set(PARAMS[entry["kind"]]))
-    if unknown:
-        raise StageError("config", f"unknown keys {unknown} in model {label!r}")
-    if not _integer(entry.get("seed", 0)):
-        raise StageError("config", f"seed of model {label!r} must be an integer, got {entry['seed']!r}")
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+)
 
 
 def _bundled(name: str) -> Path:
@@ -70,17 +49,19 @@ def _bundled(name: str) -> Path:
 
 @dataclass
 class PipelineConfig:
-    reviews_path: Path
-    revenue_path: Path
-    vocabulary_path: Path | None = None
-    lexicon_path: Path | None = None
-    heuristics_path: Path | None = None
-    aspect_set: object = 16           # 13, 16, or an explicit id list
-    include_lag: bool = True
-    split_ratio: tuple = (2, 1)
-    seed: int = 0
-    models: list = field(default_factory=lambda: [dict(m) for m in DEFAULT_MODELS])
-    out_dir: Path = Path("out")
+    """A run's settings, one config key per field; a null input path means the bundled default."""
+
+    reviews_path: Path | None = key(None, "path", name="reviews")
+    revenue_path: Path | None = key(None, "path", name="revenue")
+    vocabulary_path: Path | None = key(None, "path", name="vocabulary")
+    lexicon_path: Path | None = key(None, "path", name="lexicon")
+    heuristics_path: Path | None = key(None, "path", name="heuristics")
+    aspect_set: object = key(16, "aspects", name="aspects")
+    include_lag: bool = key(True, "bool")
+    split_ratio: tuple = SPLIT_RATIO.as_field()
+    seed: int = key(0, "int")
+    models: list = key(DEFAULT_MODELS, "models")
+    out_dir: Path = key("out", "path", name="out")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
@@ -95,64 +76,48 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, obj: dict, overrides: dict | None = None, base: Path | None = None) -> "PipelineConfig":
         merged = dict(obj)
-        for key, value in (overrides or {}).items():
+        for name, value in (overrides or {}).items():
             if value is not None:
-                merged[key] = value
-        unknown = sorted(set(merged) - CONFIG_KEYS)
-        if unknown:
-            raise StageError("config", f"unknown config keys {unknown}")
-        models = merged.get("models", DEFAULT_MODELS)
-        if not isinstance(models, (list, tuple)):
-            raise StageError("config", f"models must be a list of model entries, got {models!r}")
-        for entry in models:
-            _check_model_entry(entry)
+                merged[name] = value
+        error = partial(StageError, "config")
+        values = validate(keys(cls), merged, error)
+        for entry in values["models"]:
+            if not isinstance(entry, dict) or entry.get("kind") not in SPECS:
+                raise error(f"model entry needs a kind out of {list(SPECS)}: {entry!r}")
+            validate(MODEL_ENTRY_KEYS + keys(SPECS[entry["kind"]]), entry, error,
+                     f" of model {entry.get('label', entry['kind'])!r}")
 
-        for key in PATH_KEYS:
-            value = merged.get(key, "")
-            # an input path of null means the default input
-            if not isinstance(value, (str, os.PathLike)) and (value is not None or key == "out"):
-                raise StageError("config", f"{key} must be a path string, got {value!r}")
+        def resolve(name, bundled=None):  # an input path is relative to the config file
+            if values[name] is None:
+                return bundled and _bundled(bundled)
+            p = Path(values[name])
+            return base / p if base is not None and not p.is_absolute() else p
 
-        def resolve(key, default=None):
-            value = merged.get(key, default)
-            if value is None:
-                return None
-            p = Path(value)
-            if base is not None and not p.is_absolute():
-                p = base / p
-            return p
-
-        include_lag = merged.get("include_lag", True)
-        if not isinstance(include_lag, bool):
-            raise StageError("config", f"include_lag must be true or false, got {include_lag!r}")
-        split_ratio = merged.get("split_ratio", (2, 1))
-        if not (isinstance(split_ratio, (list, tuple)) and len(split_ratio) == 2
-                and all(positive_number(v) for v in split_ratio)):
-            raise StageError("config", f"split_ratio must be two positive numbers, got {split_ratio!r}")
-
-        seed = merged.get("seed", 0)
-        if not _integer(seed):
-            raise StageError("config", f"seed must be an integer, got {seed!r}")
-
-        reviews = resolve("reviews") or _bundled("synthetic/reviews.jsonl")
-        revenue = resolve("revenue") or _bundled("synthetic/revenue.csv")
         return cls(
-            reviews_path=reviews,
-            revenue_path=revenue,
+            reviews_path=resolve("reviews", "synthetic/reviews.jsonl"),
+            revenue_path=resolve("revenue", "synthetic/revenue.csv"),
             vocabulary_path=resolve("vocabulary"),
             lexicon_path=resolve("lexicon"),
             heuristics_path=resolve("heuristics"),
-            aspect_set=merged.get("aspects", 16),
-            include_lag=include_lag,
-            split_ratio=tuple(split_ratio),
-            seed=seed,
-            models=[dict(m) for m in models],
-            out_dir=Path(merged.get("out", "out")),
+            aspect_set=values["aspects"],
+            include_lag=values["include_lag"],
+            split_ratio=tuple(values["split_ratio"]),
+            seed=values["seed"],
+            models=[dict(m) for m in values["models"]],
+            out_dir=Path(values["out"]),
         )
 
     @classmethod
     def defaults(cls, **overrides) -> "PipelineConfig":
         return cls.from_dict({}, overrides)
+
+
+# a models entry's keys besides its kind's params; aspects and seed default to the config's
+MODEL_ENTRY_KEYS = (
+    Key("string", choices=tuple(SPECS), name="kind"),
+    Key("string", name="label"),
+    *(replace(k, default=MISSING) for k in keys(PipelineConfig) if k.name in ("aspects", "seed")),
+)
 
 
 def resolve_aspect_set(value) -> list:
@@ -263,12 +228,12 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         aspect_value = entry.pop("aspects", cfg.aspect_set)
         seed = entry.pop("seed", cfg.seed)
         spec = ForecasterSpec.make(kind, label=label, seed=seed, **entry)
-        key = json.dumps(aspect_value)
-        if key not in matrices:
-            matrices[key] = build_matrix(cfg, growth, perceptions, aspect_value)
+        aspects_key = json.dumps(aspect_value)
+        if aspects_key not in matrices:
+            matrices[aspects_key] = build_matrix(cfg, growth, perceptions, aspect_value)
         try:
-            row = backtest(spec, matrices[key], cfg.split_ratio, growth=growth)
-        except Exception as e:
+            row = backtest(spec, matrices[aspects_key], cfg.split_ratio, growth=growth)
+        except Exception as e:  # backtest's errors do not name the model
             raise StageError("fit", f"model {label!r}: {e}") from None
         report.rows.append(row)
     return report

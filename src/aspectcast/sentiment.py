@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass
 from importlib import resources
+
+from .schema import check_fields, key, keys, validate
 
 __all__ = [
     "SentimentLexicon",
@@ -42,33 +44,28 @@ class SentimentScores:
 
 @dataclass(frozen=True)
 class HeuristicConfig:
-    exclamation_boost: float = 0.292   # per "!", capped
-    exclamation_cap: int = 4
-    question_step: float = 0.18        # per "?" beyond the first, up to question_max
-    question_max: float = 0.96
-    caps_boost: float = 0.733
-    degree_increment: float = 0.293
-    negation_factor: float = -0.74
-    negation_window: int = 3
-    but_weight_before: float = 0.5
-    but_weight_after: float = 1.5
-    alpha: float = 15.0                # compound normalization constant
+    exclamation_boost: float = key(0.292)   # per "!", capped
+    exclamation_cap: int = key(4, "int", low=0)
+    question_step: float = key(0.18)        # per "?" beyond the first, up to question_max
+    question_max: float = key(0.96)
+    caps_boost: float = key(0.733)
+    degree_increment: float = key(0.293)
+    negation_factor: float = key(-0.74)
+    negation_window: int = key(3, "int", low=1)
+    but_weight_before: float = key(0.5)
+    but_weight_after: float = key(1.5)
+    alpha: float = key(15.0, low=0, open_low=True)  # compound normalization constant
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.negation_window < 1:
-            raise ValueError("negation window must be >= 1")
+        check_fields(self, ValueError)
 
     @classmethod
     def from_json(cls, data: bytes) -> "HeuristicConfig":
         """Default config with fields overridden from a JSON object."""
         overrides = json.loads(data.decode("utf-8"))
-        known = {f.name for f in fields(cls)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValueError(f"unknown heuristic fields: {sorted(unknown)}")
-        return replace(cls(), **overrides)
+        if not isinstance(overrides, dict):
+            raise ValueError("heuristics must be a JSON object")
+        return cls(**validate(keys(cls), overrides, ValueError))
 
 
 def load_lexicon(data: bytes) -> SentimentLexicon:
@@ -116,6 +113,7 @@ _NEGATIONS = {
 }
 # Scaling of a degree modifier's effect by distance from the sentiment token.
 _DISTANCE_DECAY = (1.0, 0.95, 0.9)
+_DEFAULT_HEURISTICS = HeuristicConfig()  # checked once, not on every analyze call
 
 _WORD_CLEAN_RE = re.compile(r"^\W+|\W+$")
 # the ASCII characters \W matches: all but letters, digits and "_"
@@ -137,7 +135,7 @@ def _punctuation_emphasis(text: str, cfg: HeuristicConfig) -> float:
     return emphasis
 
 
-def normalize_valence_sum(total: float, alpha: float = 15.0) -> float:
+def normalize_valence_sum(total: float, alpha: float = HeuristicConfig.alpha) -> float:
     """Map a summed valence onto [-1, 1]: total / sqrt(total^2 + alpha)."""
     return max(-1.0, min(1.0, total / math.sqrt(total * total + alpha)))
 
@@ -148,7 +146,7 @@ def _is_caps(word: str) -> bool:
 
 def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None = None) -> SentimentScores:
     """Score one text; unknown tokens are neutral, empty text scores all zeros."""
-    cfg = config or HeuristicConfig()
+    cfg = config or _DEFAULT_HEURISTICS
     # _clean leaves a token made only of letters and digits unchanged
     words = [t if t.isalnum() else _clean(t) for t in text.split()]
     if not all(words):

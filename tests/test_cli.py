@@ -31,6 +31,20 @@ MODEL_DIGESTS = {
     "arima": "d109836b4329c7000e432d79145992ec13be434a27edd45cb7d070a5fde29768",
 }
 
+# a param of the wrong type or out of range, and the key its error names
+BAD_PARAMS = [
+    ("mlp", {"hidden_size": "10"}, "hidden_size"),
+    ("mlp", {"max_epochs": 2.5}, "max_epochs"),
+    ("mlp", {"validation_patience": -3}, "validation_patience"),
+    ("arima", {"orders": [1, 0]}, "orders"),
+    ("arima", {"orders": [True, 0, 0]}, "orders"),
+    ("svr", {"gamma": "5"}, "gamma"),
+    ("svr", {"gamma": float("inf")}, "gamma"),
+    ("svr", {"C": float("nan")}, "C"),
+    ("svr", {"nu": True}, "nu"),
+    ("lr", {"selection": "all", "threshold": "x"}, "threshold"),
+]
+
 
 def write_small_corpus(tmp_path, quarters=8):
     """A tiny but valid corpus: 2 reviews per quarter plus a revenue series."""
@@ -439,6 +453,51 @@ class TestErrors:
         assert "error [fit]" in err and "'gama'" in err
         assert not (out / "model_svr.json").exists()
 
+    @pytest.mark.parametrize("kind, params, named", BAD_PARAMS)
+    def test_bad_fit_param(self, tmp_path, capsys, kind, params, named):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        assert main([
+            "fit", "--features", str(out / "features.csv"), "--kind", kind,
+            "--params", json.dumps(params), "--out", str(out),
+        ]) == 1
+        assert f"error [fit] {named} must be " in capsys.readouterr().err
+        assert not (out / f"model_{kind}.json").exists()
+
+    @pytest.mark.parametrize("kind, params, named", BAD_PARAMS)
+    def test_bad_model_entry_param(self, tmp_path, capsys, kind, params, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": [{"kind": kind, **params}]}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error [config] {named} of model '{kind}' must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("heuristics, named", [
+        ("5", "heuristics must be a JSON object"),
+        ('{"alpha": "x"}', "alpha must be > 0, got 'x'"),
+        ('{"negation_window": 2.5}', "negation_window must be an integer >= 1, got 2.5"),
+        ('{"alpha": NaN}', "alpha must be > 0, got nan"),
+    ])
+    def test_bad_heuristics_file(self, tmp_path, capsys, heuristics, named):
+        (tmp_path / "heuristics.json").write_text(heuristics)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"heuristics": "heuristics.json"}))
+        assert main(["features", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [ingest] {tmp_path / 'heuristics.json'}: {named}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_failure_names_the_model_once(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        # 4 training rows cannot fit 17 LR coefficients
+        config.write_text(json.dumps({"reviews": "reviews.jsonl", "revenue": "revenue.csv",
+                                      "models": [{"kind": "lr", "label": "LR"}]}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error [fit] model 'LR': failed to fit: too few rows" in err
+        assert err.count("'LR'") == 1
+
     @pytest.mark.parametrize("params", ["[1]", '"gamma"', "5", "null"])
     def test_fit_params_not_an_object(self, tmp_path, capsys, params):
         config = write_small_corpus(tmp_path)
@@ -476,6 +535,20 @@ class TestErrors:
         ]) == 1
         err = capsys.readouterr().err
         assert "error [evaluate]" in err and f"missing columns {named}" in err
+        assert not (out / "report.csv").exists()
+
+    def test_predictions_value_not_a_number(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("quarter,predicted\n2016Q3,0.01\n2016Q4,abc\n")
+        assert main([
+            "evaluate", "--features", str(out / "features.csv"),
+            "--predictions", str(predictions), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error [evaluate] {predictions} line 3: could not convert string to float: 'abc'" in err
         assert not (out / "report.csv").exists()
 
     def test_predictions_row_shorter_than_header(self, tmp_path, capsys):
