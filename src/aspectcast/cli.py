@@ -54,6 +54,7 @@ def _write(out_dir: Path, name: str, data: bytes) -> Path:
 def cmd_ingest(args) -> None:
     cfg = _load_config(args)
     reviews, revenue, _, _, _ = load_inputs(cfg)
+    reviews = list(reviews)
     _write(cfg.out_dir, "reviews.jsonl", corpus_mod.reviews_to_jsonl(reviews))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -67,6 +68,7 @@ def cmd_ingest(args) -> None:
 def cmd_sentiment(args) -> None:
     cfg = _load_config(args)
     reviews, _, _, lexicon, heuristics = load_inputs(cfg)
+    reviews = list(reviews)
     scores = score_reviews(reviews, lexicon, heuristics)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

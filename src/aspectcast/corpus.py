@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -14,6 +15,7 @@ __all__ = [
     "Review",
     "RevenueSeries",
     "CorpusError",
+    "iter_reviews",
     "parse_reviews",
     "parse_revenue",
     "group_by_quarter",
@@ -117,30 +119,40 @@ def _build_review(idx, rid, qlabel, text, source, seen_ids):
     return Review(id=str(rid), quarter=quarter, text=str(text), source=source or None)
 
 
-def parse_reviews(data: bytes, format: str = "jsonl") -> list[Review]:
-    """Parse a review file (JSONL or CSV) into Review records.
+def iter_reviews(stream, format: str = "jsonl") -> Iterator[Review]:
+    """The reviews of a binary ``stream`` (JSONL or CSV), one record at a time.
 
     JSONL lines carry ``id``/``quarter``/``text`` and optional ``source``, one
     record per line ending in ``\\n``, ``\\r\\n`` or ``\\r``; CSV needs an
-    ``id,quarter,text`` header. Errors carry the 1-based line number of the
-    offending record. Records are decoded and parsed one at a time, so the
-    whole text is never held beside ``data``.
+    ``id,quarter,text`` header. A record is decoded, parsed and yielded before
+    the next one is read, so neither the file's text nor its reviews are ever
+    held at once. A bad record raises CorpusError carrying its 1-based line
+    number when the iteration reaches it; the reviews before it have been
+    yielded. ``stream`` is left open.
     """
     if format not in ("jsonl", "csv"):
         raise CorpusError(f"unknown review format: {format!r}")
-    # JSONL lines end in any of the three line ends, which the stream turns
+    # JSONL lines end in any of the three line ends, which the wrapper turns
     # into "\n"; csv reads each line's own end
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                              newline=None if format == "jsonl" else "")
+    text = io.TextIOWrapper(stream, encoding="utf-8", newline=None if format == "jsonl" else "")
     try:
-        return _jsonl_reviews(stream) if format == "jsonl" else _csv_reviews(stream)
+        yield from _jsonl_reviews(text) if format == "jsonl" else _csv_reviews(text)
     except UnicodeDecodeError as e:
         raise CorpusError(f"not valid UTF-8 ({e.reason})") from None
+    finally:
+        text.detach()  # else closing the wrapper would close ``stream``
 
 
-def _jsonl_reviews(lines) -> list[Review]:
+def parse_reviews(data: bytes, format: str = "jsonl") -> list[Review]:
+    """Every review of a file's bytes (JSONL or CSV), as ``iter_reviews`` reads them.
+
+    The first bad record raises its CorpusError, so the list is all or nothing.
+    """
+    return list(iter_reviews(io.BytesIO(data), format))
+
+
+def _jsonl_reviews(lines) -> Iterator[Review]:
     seen: set[str] = set()
-    reviews: list[Review] = []
     for idx, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -151,26 +163,19 @@ def _jsonl_reviews(lines) -> list[Review]:
             raise CorpusError(f"line {idx}: malformed JSON ({e.msg})") from None
         if not isinstance(obj, dict):
             raise CorpusError(f"line {idx}: expected a JSON object")
-        reviews.append(
-            _build_review(idx, obj.get("id"), obj.get("quarter"), obj.get("text"), obj.get("source"), seen)
-        )
-    return reviews
+        yield _build_review(idx, obj.get("id"), obj.get("quarter"), obj.get("text"), obj.get("source"), seen)
 
 
-def _csv_reviews(lines) -> list[Review]:
+def _csv_reviews(lines) -> Iterator[Review]:
     seen: set[str] = set()
-    reviews: list[Review] = []
     reader = csv.DictReader(lines)
     try:
         if reader.fieldnames is None or not {"id", "quarter", "text"} <= set(reader.fieldnames):
             raise CorpusError("CSV header must contain id,quarter,text")
         for idx, row in enumerate(reader, start=2):
-            reviews.append(
-                _build_review(idx, row.get("id"), row.get("quarter"), row.get("text"), row.get("source"), seen)
-            )
+            yield _build_review(idx, row.get("id"), row.get("quarter"), row.get("text"), row.get("source"), seen)
     except csv.Error as e:
         raise CorpusError(f"line {reader.reader.line_num}: malformed CSV ({e})") from None
-    return reviews
 
 
 def parse_revenue(data: bytes) -> RevenueSeries:

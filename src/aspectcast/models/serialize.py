@@ -41,7 +41,8 @@ def model_to_json(model) -> bytes:
 
 
 def model_from_json(data: bytes):
-    """Rebuild a fitted model; a file that is not one raises FitError."""
+    """Rebuild a fitted model; a file that is not one, or holds a field its kind
+    does not store, raises FitError."""
     obj = json.loads(data.decode("utf-8"))
     if not isinstance(obj, dict):
         raise FitError("model JSON must be an object")
@@ -49,9 +50,13 @@ def model_from_json(data: bytes):
     cls = _MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FitError(f"unknown model kind: {kind!r}")
+    stored = _stored(cls)
+    unknown = sorted(set(obj).difference(["kind"], (f.name for f in stored)))
+    if unknown:
+        raise FitError(f"unknown fields {unknown} in {kind} model")
     values = {}
     try:
-        for f in _stored(cls):
+        for f in stored:
             if f.name in obj:
                 values[f.name] = _READ.get(f.type, lambda v: v)(obj[f.name])
             elif f.default is MISSING:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, replace
 from functools import partial
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 from . import aspects as aspects_mod
@@ -81,11 +83,14 @@ class PipelineConfig:
                 merged[name] = value
         error = partial(StageError, "config")
         values = validate(keys(cls), merged, error)
+        resolve_aspect_set(values["aspects"])
         for entry in values["models"]:
             if not isinstance(entry, dict) or entry.get("kind") not in SPECS:
                 raise error(f"model entry needs a kind out of {list(SPECS)}: {entry!r}")
-            validate(MODEL_ENTRY_KEYS + keys(SPECS[entry["kind"]]), entry, error,
-                     f" of model {entry.get('label', entry['kind'])!r}")
+            of = f" of model {entry.get('label', entry['kind'])!r}"
+            validate(MODEL_ENTRY_KEYS + keys(SPECS[entry["kind"]]), entry, error, of)
+            if "aspects" in entry:
+                resolve_aspect_set(entry["aspects"], of)
 
         def resolve(name, bundled=None):  # an input path is relative to the config file
             if values[name] is None:
@@ -120,7 +125,8 @@ MODEL_ENTRY_KEYS = (
 )
 
 
-def resolve_aspect_set(value) -> list:
+def resolve_aspect_set(value, of: str = "") -> list:
+    """The aspect ids an ``aspects`` value names; an id outside the 16 fails ``config``."""
     if value in (13, "13"):
         return list(aspects_mod.ASPECT_SET_13)
     if value in (16, "16"):
@@ -128,9 +134,20 @@ def resolve_aspect_set(value) -> list:
     if isinstance(value, (list, tuple)):
         unknown = [a for a in value if a not in aspects_mod.ASPECT_SET_16]
         if unknown:
-            raise StageError("config", f"unknown aspect ids: {unknown}")
+            raise StageError("config", f"unknown aspect ids: {unknown}{of}")
         return list(value)
     raise StageError("config", f"bad aspect set: {value!r}")
+
+
+@contextmanager
+def _input_errors(stage: str, path):
+    """Reading or parsing the file at ``path`` fails ``stage`` naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise StageError(stage, f"{path}: not valid UTF-8 ({e.reason})") from None
+    except (OSError, ValueError) as e:
+        raise StageError(stage, f"{path}: {e}") from None
 
 
 def read_input(stage: str, path, parse):
@@ -139,29 +156,63 @@ def read_input(stage: str, path, parse):
     A file that cannot be read, is not UTF-8 or does not parse fails
     ``stage`` with an error that names ``path``.
     """
-    try:
+    with _input_errors(stage, path):
         return parse(Path(path).read_bytes())
-    except UnicodeDecodeError as e:
-        raise StageError(stage, f"{path}: not valid UTF-8 ({e.reason})") from None
-    except (OSError, ValueError) as e:
-        raise StageError(stage, f"{path}: {e}") from None
+
+
+# Parsing a block of reviews, then scoring it, takes less CPU than parsing
+# and scoring one review at a time: on a 2-vCPU virtual machine, alternating
+# made `aspectcast pipeline` on 20,000 generated reviews 5-10% slower. A block
+# holds at most this many reviews.
+READ_AHEAD = 256
+
+
+class _ReviewStream:
+    """The reviews of an open file, parsed as a single pass reads them,
+    ``READ_AHEAD`` records at a time.
+
+    The pass closes the file, at its end or at the first error, which fails
+    ``ingest`` as ``read_input`` would; ``close`` closes it unread.
+    """
+
+    def __init__(self, file, path, format):
+        self._file, self._path, self._format = file, path, format
+
+    def __iter__(self):
+        with self._file, _input_errors("ingest", self._path):
+            reviews = corpus_mod.iter_reviews(self._file, self._format)
+            while block := list(islice(reviews, READ_AHEAD)):
+                yield from block
+
+    def close(self):
+        self._file.close()
 
 
 def load_inputs(cfg: PipelineConfig):
-    """Parse reviews, revenue, vocabulary, lexicon, and heuristics per config.
+    """Reviews, revenue, vocabulary, lexicon, and heuristics per config.
 
-    A reviews path ending in ``.csv`` is read as CSV, any other as JSONL.
+    The reviews come as a one-pass stream over the open reviews file, parsed
+    as they are read (``list`` it to keep them): a reviews file that cannot
+    be opened fails here, before any other input is read, but a bad record
+    fails ``ingest`` only when the stream reaches it. The other inputs are
+    read and parsed here. A reviews path ending in ``.csv`` is read as CSV,
+    any other as JSONL.
     """
+    with _input_errors("ingest", cfg.reviews_path):
+        reviews_file = Path(cfg.reviews_path).open("rb")
+    try:
+        revenue = read_input("ingest", cfg.revenue_path, corpus_mod.parse_revenue)
+        vocab = (read_input("ingest", cfg.vocabulary_path, aspects_mod.load_vocabulary)
+                 if cfg.vocabulary_path else aspects_mod.default_vocabulary())
+        lexicon = (read_input("ingest", cfg.lexicon_path, sentiment_mod.load_lexicon)
+                   if cfg.lexicon_path else sentiment_mod.default_lexicon())
+        heuristics = (read_input("ingest", cfg.heuristics_path, sentiment_mod.HeuristicConfig.from_json)
+                      if cfg.heuristics_path else sentiment_mod.HeuristicConfig())
+    except BaseException:
+        reviews_file.close()
+        raise
     reviews_format = "csv" if Path(cfg.reviews_path).suffix == ".csv" else "jsonl"
-    reviews = read_input("ingest", cfg.reviews_path,
-                         lambda data: corpus_mod.parse_reviews(data, reviews_format))
-    revenue = read_input("ingest", cfg.revenue_path, corpus_mod.parse_revenue)
-    vocab = (read_input("ingest", cfg.vocabulary_path, aspects_mod.load_vocabulary)
-             if cfg.vocabulary_path else aspects_mod.default_vocabulary())
-    lexicon = (read_input("ingest", cfg.lexicon_path, sentiment_mod.load_lexicon)
-               if cfg.lexicon_path else sentiment_mod.default_lexicon())
-    heuristics = (read_input("ingest", cfg.heuristics_path, sentiment_mod.HeuristicConfig.from_json)
-                  if cfg.heuristics_path else sentiment_mod.HeuristicConfig())
+    reviews = _ReviewStream(reviews_file, cfg.reviews_path, reviews_format)
     return reviews, revenue, vocab, lexicon, heuristics
 
 
@@ -199,8 +250,10 @@ def build_features(reviews, revenue, vocab, lexicon, heuristics):
     the result by ``build_matrix``.
     """
     try:
-        growth = features_mod.revenue_growth(revenue)
+        # reviews first: a stream's errors come before the revenue's, and it is
+        # never left unread
         perceptions = build_perceptions(reviews, vocab, lexicon, heuristics)
+        growth = features_mod.revenue_growth(revenue)
     except ValueError as e:  # FeatureError included
         raise StageError("features", str(e)) from None
     return growth, perceptions

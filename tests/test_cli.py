@@ -607,6 +607,79 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error [ingest]" in err and "line 1" in err
 
+    @pytest.mark.parametrize("name, last, problem", [
+        ("reviews.jsonl", b'{"id": "z", "quarter": "2016Q1", "text": ', "line 17: malformed JSON"),
+        ("reviews.jsonl", b'{"id": "z", "quarter": "2016Q9", "text": "hi"}\n',
+         "line 17: invalid quarter label: '2016Q9'"),
+        ("reviews.jsonl", b'{"id": "z", "quarter": "2016Q1", "text": "caf\xe9"}\n',
+         "not valid UTF-8 (invalid continuation byte)"),
+        ("reviews.csv", b"z,2016Q1,\n", "line 18: empty text for review 'z'"),
+        ("reviews.csv", b"z,2016Q1,caf\xe9\n", "not valid UTF-8 (invalid continuation byte)"),
+    ])
+    @pytest.mark.parametrize("command", ["features", "pipeline"])
+    def test_bad_last_review(self, tmp_path, capsys, command, name, last, problem):
+        config = write_small_corpus(tmp_path)
+        reviews = tmp_path / name
+        if name.endswith(".csv"):
+            records = [json.loads(line) for line in (tmp_path / "reviews.jsonl").read_text().splitlines()]
+            with open(reviews, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, ["id", "quarter", "text"], lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(records)
+            config.write_text(json.dumps({**json.loads(config.read_text()), "reviews": name}))
+        with open(reviews, "ab") as fh:
+            fh.write(last)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert f"error [ingest] {reviews}: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_reviews_file_fails_first(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"reviews": "nope.jsonl", "revenue": "nope.csv"}))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [ingest] {tmp_path / 'nope.jsonl'}: " in err and "nope.csv" not in err
+
+    def test_bad_review_is_read_after_other_inputs(self, tmp_path, capsys):
+        # the reviews are parsed as they stream into the text stages, after
+        # every other input has been read
+        config = write_small_corpus(tmp_path)
+        (tmp_path / "reviews.jsonl").write_text('{"id": "z", "quarter": "2016Q9", "text": "hi"}\n')
+        (tmp_path / "revenue.csv").write_text("quarter,revenue\n2016Q1,-1\n")
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [ingest] {tmp_path / 'revenue.csv'}: line 2: non-positive revenue" in err
+        assert "reviews.jsonl" not in err
+
+    @pytest.mark.parametrize("models", [None, [{"kind": "lr", "label": "LR", "aspects": ["bogus"]}]])
+    @pytest.mark.parametrize("command", ["ingest", "sentiment", "features", "pipeline"])
+    def test_unknown_aspect_ids(self, tmp_path, capsys, command, models):
+        config = tmp_path / "config.json"
+        if models is None:
+            config.write_text(json.dumps({"aspects": ["cost_savings", "bogus"]}))
+            named = "unknown aspect ids: ['bogus']"
+        else:
+            config.write_text(json.dumps({"models": models}))
+            named = "unknown aspect ids: ['bogus'] of model 'LR'"
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error [config] {named}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_model_file_with_unknown_field(self, tmp_path, capsys):
+        assert main(["features", "--out", str(tmp_path)]) == 0
+        features = str(tmp_path / "features.csv")
+        assert main(["fit", "--features", features, "--kind", "arima", "--out", str(tmp_path)]) == 0
+        obj = json.loads((tmp_path / "model_arima.json").read_text())
+        obj["invertable"] = obj.pop("invertible")
+        model = tmp_path / "misspelled.json"
+        model.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        assert main(["predict", "--model", str(model), "--features", features, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error [predict] {model}: unknown fields ['invertable'] in arima model" in err
+        assert not out.exists()
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

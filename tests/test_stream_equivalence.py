@@ -1,6 +1,7 @@
 """Differential tests: the streamed review parser and the matched-only perception
 builder against frozen copies of the whole-text parser and the
-score-every-review path they replaced.
+score-every-review path they replaced, and the review stream of
+``load_inputs`` against the parsed review list it replaced.
 
 Both must agree exactly (reviews and perceptions by ``repr``, errors by type
 and message), because report bytes are pinned downstream.
@@ -13,15 +14,16 @@ import random
 import re
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aspectcast import pipeline, sentiment
+from aspectcast import corpus, pipeline, sentiment
 from aspectcast.aspects import default_vocabulary, match_aspects
-from aspectcast.corpus import CorpusError, Quarter, Review, parse_reviews
+from aspectcast.corpus import CorpusError, Quarter, Review, iter_reviews, parse_reviews
 from aspectcast.features import perception
-from aspectcast.pipeline import build_perceptions
+from aspectcast.pipeline import PipelineConfig, StageError, build_features, build_perceptions, load_inputs
 from aspectcast.sentiment import HeuristicConfig, analyze, default_lexicon
 
 
@@ -299,9 +301,130 @@ class TestPerceptionEquivalence:
 
         # build_perceptions looks analyze up on the sentiment module
         monkeypatch.setattr(sentiment, "analyze", counting)
-        growth, perceptions = pipeline.build_features(reviews, *pipeline.load_inputs(
-            pipeline.PipelineConfig.defaults())[1:])
+        unread, *inputs = pipeline.load_inputs(pipeline.PipelineConfig.defaults())
+        unread.close()
+        growth, perceptions = pipeline.build_features(reviews, *inputs)
         assert scored == [r.text for r in matched]
         monkeypatch.undo()
         assert [repr(p) for p in perceptions] == [
             repr(p) for p in reference_perceptions(reviews, VOCAB, LEXICON, HeuristicConfig())]
+
+
+# --- the review stream of load_inputs ---------------------------------------
+
+def multi_sentence_records(n, seed):
+    """``n`` reviews of four sentences, each naming one vocabulary phrase, over 32 quarters."""
+    rng = random.Random(seed)
+
+    def sentence():
+        words = [rng.choice(WORDS) for _ in range(8)]
+        words.insert(rng.randrange(9), rng.choice(PHRASES))
+        return " ".join(words) + rng.choice([".", "!", "?"])
+
+    return [{"id": f"u{i:05d}", "quarter": f"{2011 + i // 4 % 8}Q{i % 4 + 1}",
+             "text": " ".join(sentence() for _ in range(4))} for i in range(n)]
+
+
+def write_reviews(path: Path, records) -> bytes:
+    """Write ``records`` as JSONL or CSV, by the suffix of ``path``; return the bytes."""
+    if path.suffix == ".csv":
+        buf = io.StringIO(newline="")
+        writer = csv.DictWriter(buf, ["id", "quarter", "text"], lineterminator="\r\n")
+        writer.writeheader()
+        writer.writerows(records)
+        data = buf.getvalue().encode("utf-8")
+    else:
+        data = "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
+    path.write_bytes(data)
+    return data
+
+
+class TestReviewStream:
+    @pytest.mark.parametrize("name", ["reviews.jsonl", "reviews.csv"])
+    @pytest.mark.parametrize("corpus_name", ["bundled", "generated"])
+    def test_streamed_perceptions(self, tmp_path, name, corpus_name):
+        if corpus_name == "bundled":
+            records = [json.loads(r) for r in resources.files("aspectcast").joinpath(
+                "data/synthetic/reviews.jsonl").read_text("utf-8").splitlines()]
+            records = [{k: r[k] for k in ("id", "quarter", "text")} for r in records]
+        else:
+            records = multi_sentence_records(300, seed=11)
+        data = write_reviews(tmp_path / name, records)
+        reviews, _, vocab, lexicon, heuristics = load_inputs(PipelineConfig.defaults(reviews=tmp_path / name))
+        streamed = build_perceptions(reviews, vocab, lexicon, heuristics)
+        parsed = build_perceptions(parse_reviews(data, name.rsplit(".", 1)[1]), vocab, lexicon, heuristics)
+        assert len(parsed) > 100
+        assert [repr(p) for p in streamed] == [repr(p) for p in parsed]
+
+    def test_peak_below_retained_review_list(self, tmp_path):
+        records = multi_sentence_records(2000, seed=3)
+        data = write_reviews(tmp_path / "reviews.jsonl", records)
+        cfg = PipelineConfig.defaults(reviews=tmp_path / "reviews.jsonl")
+        build_features(*load_inputs(cfg))  # first-use allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reviews = parse_reviews(data, "jsonl")
+            retained = tracemalloc.get_traced_memory()[0] - before
+            del reviews
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            growth, perceptions = build_features(*load_inputs(cfg))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(perceptions) > 100
+        # parsing the bytes into a list first held the bytes and every review
+        # at once, 1.8 times the list's size; the stream peaks at 0.8 times it
+        assert peak < retained
+
+    def test_run_pipeline_never_parses_bytes(self, monkeypatch, tmp_path):
+        def refuse(data, format="jsonl"):
+            raise AssertionError("parse_reviews called")
+
+        monkeypatch.setattr(corpus, "parse_reviews", refuse)
+        cfg = PipelineConfig.from_dict({"models": [{"kind": "lr", "label": "LR-13", "aspects": 13}]})
+        assert [row.label for row in pipeline.run_pipeline(cfg).rows] == ["LR-13"]
+
+    def test_bad_record_fails_when_read(self, tmp_path):
+        write_reviews(tmp_path / "reviews.jsonl", multi_sentence_records(3, seed=1))
+        with open(tmp_path / "reviews.jsonl", "ab") as fh:
+            fh.write(b'{"id": "z", "quarter": "2016Q9", "text": "hi"}\n')
+        reviews = load_inputs(PipelineConfig.defaults(reviews=tmp_path / "reviews.jsonl"))[0]
+        with pytest.raises(StageError, match=f"^\\[ingest\\] {re.escape(str(tmp_path))}.*: line 4: invalid quarter"):
+            list(reviews)
+
+    @pytest.mark.parametrize("n", [pipeline.READ_AHEAD - 1, pipeline.READ_AHEAD, 2 * pipeline.READ_AHEAD + 1])
+    def test_every_review_is_read_across_blocks(self, tmp_path, n):
+        data = write_reviews(tmp_path / "reviews.jsonl", multi_sentence_records(n, seed=4))
+        reviews = load_inputs(PipelineConfig.defaults(reviews=tmp_path / "reviews.jsonl"))[0]
+        assert [repr(r) for r in reviews] == [repr(r) for r in parse_reviews(data, "jsonl")]
+
+    def test_iter_reviews_leaves_the_stream_open(self):
+        stream = io.BytesIO(b'{"id": "a", "quarter": "2016Q1", "text": "x"}\n')
+        assert [r.id for r in iter_reviews(stream, "jsonl")] == ["a"]
+        assert not stream.closed and stream.read() == b""
+
+    def test_no_handle_is_leaked(self, tmp_path, monkeypatch):
+        write_reviews(tmp_path / "reviews.jsonl", multi_sentence_records(5, seed=2))
+        (tmp_path / "bad.jsonl").write_bytes(b"[1]\n")
+        opened = []
+        real_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            opened.append(real_open(self, *args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        cfg = PipelineConfig.defaults(reviews=tmp_path / "reviews.jsonl")
+        # a later input fails before the stream is read
+        with pytest.raises(StageError, match="nope.csv"):
+            load_inputs(PipelineConfig.defaults(reviews=tmp_path / "reviews.jsonl",
+                                                revenue=tmp_path / "nope.csv"))
+        # read to the end; stopped at an error; closed unread
+        assert len(list(load_inputs(cfg)[0])) == 5
+        with pytest.raises(StageError, match="line 1: expected a JSON object"):
+            list(load_inputs(PipelineConfig.defaults(reviews=tmp_path / "bad.jsonl"))[0])
+        load_inputs(cfg)[0].close()
+        reviews_files = [f for f in opened if Path(f.name).suffix == ".jsonl"]
+        assert len(reviews_files) == 4 and all(f.closed for f in reviews_files)
