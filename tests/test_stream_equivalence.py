@@ -386,14 +386,6 @@ class TestReviewStream:
         cfg = PipelineConfig.from_dict({"models": [{"kind": "lr", "label": "LR-13", "aspects": 13}]})
         assert [row.label for row in pipeline.run_pipeline(cfg).rows] == ["LR-13"]
 
-    def test_bad_record_fails_when_read(self, tmp_path):
-        write_reviews(tmp_path / "reviews.jsonl", multi_sentence_records(3, seed=1))
-        with open(tmp_path / "reviews.jsonl", "ab") as fh:
-            fh.write(b'{"id": "z", "quarter": "2016Q9", "text": "hi"}\n')
-        reviews = load_inputs(PipelineConfig.defaults(reviews=tmp_path / "reviews.jsonl"))[0]
-        with pytest.raises(StageError, match=f"^\\[ingest\\] {re.escape(str(tmp_path))}.*: line 4: invalid quarter"):
-            list(reviews)
-
     @pytest.mark.parametrize("n", [pipeline.READ_AHEAD - 1, pipeline.READ_AHEAD, 2 * pipeline.READ_AHEAD + 1])
     def test_every_review_is_read_across_blocks(self, tmp_path, n):
         data = write_reviews(tmp_path / "reviews.jsonl", multi_sentence_records(n, seed=4))
