@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -129,7 +130,10 @@ def cmd_evaluate(args) -> None:
         try:
             if None in (row["quarter"], row["predicted"]):
                 raise ValueError("too few fields")
-            predicted[row["quarter"]] = float(row["predicted"])
+            value = float(row["predicted"])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite predicted value {row['predicted']!r}")
+            predicted[row["quarter"]] = value
         except ValueError as e:
             raise StageError("evaluate", f"{args.predictions} line {reader.line_num}: {e}") from None
     missing = [str(q) for q in matrix.quarters if str(q) not in predicted]

@@ -6,6 +6,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -190,6 +191,8 @@ def parse_revenue(data: bytes) -> RevenueSeries:
             value = float(row["revenue"])
         except (TypeError, ValueError):
             raise CorpusError(f"line {idx}: non-numeric revenue {row['revenue']!r}") from None
+        if not math.isfinite(value):
+            raise CorpusError(f"line {idx}: non-finite revenue {row['revenue']!r} for {quarter}")
         if value <= 0:
             raise CorpusError(f"line {idx}: non-positive revenue for {quarter}")
         rows.append((quarter, value))

@@ -123,10 +123,16 @@ class FeatureMatrix:
                 raise FeatureError(f"line {reader.line_num}: {len(row)} fields, header has {len(header)}")
             try:
                 quarters.append(Quarter.parse(row[0]))
-                rows.append([float(v) for v in row[1:-1]])
-                targets.append(float(row[-1]))
+                values = [float(v) for v in row[1:]]
             except ValueError as e:
                 raise FeatureError(f"line {reader.line_num}: {e}") from None
+            bad = [j for j, v in enumerate(values, 1) if not math.isfinite(v)]
+            if bad:
+                raise FeatureError(
+                    f"line {reader.line_num}: non-finite value {row[bad[0]]!r} in column {header[bad[0]]!r}"
+                )
+            rows.append(values[:-1])
+            targets.append(values[-1])
         X = np.asarray(rows, dtype=float).reshape(len(quarters), len(columns))
         return cls(quarters=quarters, columns=columns, X=X, y=np.asarray(targets))
 

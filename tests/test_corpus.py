@@ -113,6 +113,12 @@ class TestParseRevenue:
         with pytest.raises(CorpusError, match="non-positive"):
             parse_revenue(b"quarter,revenue\n2016Q1,-5\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite(self, value):
+        # nan <= 0 is false, so a positivity check alone lets nan through
+        with pytest.raises(CorpusError, match=f"line 3: non-finite revenue '{value}' for 2016Q1"):
+            parse_revenue(f"quarter,revenue\n2015Q4,100\n2016Q1,{value}\n".encode())
+
 
 class TestGroupByQuarter:
     def test_empty(self):

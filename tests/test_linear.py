@@ -4,6 +4,7 @@ import pytest
 from aspectcast.corpus import Quarter
 from aspectcast.features import FeatureMatrix
 from aspectcast.models import FitError, fit_lr, load_reference_model, predict_lr
+from aspectcast.models.linear import _t_two_sided
 from aspectcast.models.serialize import model_from_json, model_to_json
 
 
@@ -68,6 +69,42 @@ class TestFitLr:
         m = matrix(np.random.default_rng(0).normal(size=(6, 2)), np.arange(6.0))
         with pytest.raises(FitError, match="selection"):
             fit_lr(m, selection="forward")
+
+
+# |t| from 1e-12 to 1e4, both signs
+T_GRID = np.concatenate([np.geomspace(1e-12, 1e4, 1601), -np.geomspace(1e-12, 1e4, 161)])
+
+
+class TestStudentTail:
+    """``_t_two_sided`` against SciPy, which only the tests import."""
+
+    @pytest.mark.parametrize("dof", range(1, 81))
+    def test_relative_error_against_stdtr(self, dof):
+        from scipy.special import stdtr
+
+        expected = 2.0 * stdtr(dof, -np.abs(T_GRID))
+        got = _t_two_sided(dof, T_GRID)
+        # near p = 1 stdtr loses digits (at dof 1 it returns 1.0 below |t| = 1e-8)
+        tail = expected < 0.999
+        np.testing.assert_allclose(got[tail], expected[tail], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[~tail], expected[~tail], rtol=0, atol=1e-8)
+
+    def test_closed_forms(self):
+        t = np.abs(T_GRID)
+        np.testing.assert_allclose(_t_two_sided(1, T_GRID), 1 - (2 / np.pi) * np.arctan(t), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_t_two_sided(2, T_GRID), 1 - t / np.sqrt(2 + t * t), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dof", [1, 2, 7, 80])
+    def test_edge_values(self, dof):
+        got = _t_two_sided(dof, np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+        assert got[:2].tolist() == [1.0, 1.0]
+        assert got[2:4].tolist() == [0.0, 0.0]
+        assert np.isnan(got[4])
+        # |t| below 1e-17 leaves 1 - p under half an ulp of 1
+        subnormal = np.array([5e-324, -5e-324, 2.2e-308, 1e-160, 1e-20])
+        assert _t_two_sided(dof, subnormal).tolist() == [1.0] * 5
+        p = _t_two_sided(dof, np.geomspace(1e-300, 1e300, 601))
+        assert np.all((0.0 <= p) & (p <= 1.0)) and np.all(np.diff(p) <= 0)
 
 
 class TestPredictLr:
