@@ -30,6 +30,27 @@ MODEL_DIGESTS = {
     "svr": "c455f6a4f5ed731ded6a2b18a16444384d6934e39c9fe2b27570a57b5a2bc086",
     "arima": "d109836b4329c7000e432d79145992ec13be434a27edd45cb7d070a5fde29768",
 }
+# sha256 of every file the staged commands write on the bundled corpus: ingest,
+# sentiment and features, then per kind (under <kind>/) predict and evaluate
+# with a default-params model fitted on that `features.csv`
+STAGED_DIGESTS = {
+    "reviews.jsonl": "c712ba69c37011eb29ceb4166b9ce1568a05f1c733e7abc71da55ce0c3ad0369",
+    "revenue.csv": "c6ab3bde875955d6f3b7ce0e276e0b4aea7199550a274ddb93752387a347e86c",
+    "sentiment.csv": "acc6bca1ec586162d8a6bae0390a6785980cfc0d1e20a3e8ce57e1bdf18bfb19",
+    "features.csv": "1f961b33f406ea3deffb4716354ebf561002c1e37315d1e2b576af083a4cfbf2",
+    "lr/predictions.csv": "362744768c0f5d6e1845592468e8bed3ea1ab28c728c27e3cc778541c96af6e4",
+    "lr/report.csv": "8c6a99980289b056331c1bad0f7ba9ac8d7c82aa688b5cf34c6e3cc878ab7c11",
+    "lr/report.json": "2f827429c31e430102e12c160f81b885a13a0d10accab64395a50335ca204478",
+    "mlp/predictions.csv": "4aa1b393449591323cc6ca5420d912c044e959d8fa87ff1f8826803fa3a259a5",
+    "mlp/report.csv": "7b4abe171619afd69a1b73c521c1c5246a18ed4d2cbba561b8ef9b54aaa99b7e",
+    "mlp/report.json": "2a37708e9a74eaba676beb4e80ffe19890b1f7622a5c521e2ef46a610398912a",
+    "svr/predictions.csv": "2f4c3326c30679297e8c364425bc8b419f5f45a818610dfbd6aab92043c55059",
+    "svr/report.csv": "20afed623463338c857d50b656ab4cf9dd8c02a8bf58e5b2fb638a67db347054",
+    "svr/report.json": "a4af5a073a3e16945f2db27a6a86894cb3b9f2e0d941d132fdbadc5fd88359eb",
+    "arima/predictions.csv": "74c32a6dc789b7058d9debe14ee2d21adc125006fcbf4d91c32dcb277f19cfcc",
+    "arima/report.csv": "dcfe697b6a87f3f27ecdc466e793b6e9bfff68b964ec0017c46ca06d39020c6c",
+    "arima/report.json": "dc38b53a4517a4a4d6069d547d60bb44f02e51e4f234d4dd355735e0e9315bbe",
+}
 
 # a param of the wrong type or out of range, and the key its error names
 BAD_PARAMS = [
@@ -179,6 +200,21 @@ class TestBundledReports:
                          "--out", str(tmp_path)]) == 0
             digests[kind] = hashlib.sha256((tmp_path / f"model_{kind}.json").read_bytes()).hexdigest()
         assert digests == MODEL_DIGESTS
+
+    def test_pinned_staged_artifacts(self, tmp_path):
+        for command in ("ingest", "sentiment", "features"):
+            assert main([command, "--out", str(tmp_path)]) == 0
+        features = str(tmp_path / "features.csv")
+        for kind in MODEL_DIGESTS:
+            out = tmp_path / kind
+            assert main(["fit", "--features", features, "--kind", kind, "--out", str(out)]) == 0
+            assert main(["predict", "--model", str(out / f"model_{kind}.json"),
+                         "--features", features, "--out", str(out)]) == 0
+            assert main(["evaluate", "--features", features, "--predictions",
+                         str(out / "predictions.csv"), "--label", kind, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in STAGED_DIGESTS}
+        assert digests == STAGED_DIGESTS
 
     def test_csv_corpus_matches_jsonl(self, tmp_path):
         data = resources.files("aspectcast").joinpath("data/synthetic/reviews.jsonl").read_text("utf-8")
