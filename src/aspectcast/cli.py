@@ -10,8 +10,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import features as features_mod
@@ -57,12 +55,8 @@ def cmd_ingest(args) -> None:
     reviews, revenue, _, _, _ = load_inputs(cfg)
     reviews = list(reviews)
     _write(cfg.out_dir, "reviews.jsonl", corpus_mod.reviews_to_jsonl(reviews))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quarter", "revenue"])
-    for q, v in zip(revenue.quarters, revenue.values):
-        writer.writerow([str(q), repr(v)])
-    _write(cfg.out_dir, "revenue.csv", buf.getvalue().encode("utf-8"))
+    _write(cfg.out_dir, "revenue.csv", corpus_mod.csv_bytes(
+        ["quarter", "revenue"], ([str(q), repr(v)] for q, v in zip(revenue.quarters, revenue.values))))
     print(f"{len(reviews)} reviews, {len(revenue)} revenue quarters", file=sys.stderr)
 
 
@@ -71,15 +65,11 @@ def cmd_sentiment(args) -> None:
     reviews, _, _, lexicon, heuristics = load_inputs(cfg)
     reviews = list(reviews)
     scores = score_reviews(reviews, lexicon, heuristics)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "quarter", "pos", "neu", "neg", "compound"])
-    for review, s in zip(reviews, scores):
-        writer.writerow(
-            [review.id, str(review.quarter),
-             f"{s.positive:.6f}", f"{s.neutral:.6f}", f"{s.negative:.6f}", f"{s.compound:.6f}"]
-        )
-    _write(cfg.out_dir, "sentiment.csv", buf.getvalue().encode("utf-8"))
+    _write(cfg.out_dir, "sentiment.csv", corpus_mod.csv_bytes(
+        ["id", "quarter", "pos", "neu", "neg", "compound"],
+        ([review.id, str(review.quarter),
+          f"{s.positive:.6f}", f"{s.neutral:.6f}", f"{s.negative:.6f}", f"{s.compound:.6f}"]
+         for review, s in zip(reviews, scores))))
 
 
 def cmd_features(args) -> None:
@@ -94,7 +84,9 @@ def cmd_fit(args) -> None:
     params = json.loads(args.params) if args.params else {}
     if not isinstance(params, dict):
         raise StageError("fit", "--params must be a JSON object")
-    spec = ForecasterSpec.make(args.kind, label=args.kind, seed=cfg.seed, **params)
+    # not make(**params): a param named like one of make's arguments is an unknown key
+    spec = ForecasterSpec(kind=args.kind, label=args.kind, seed=cfg.seed,
+                          params=tuple(sorted(params.items())))
     try:
         model = fit_spec(spec, matrix)
     except Exception as e:
@@ -110,12 +102,8 @@ def cmd_predict(args) -> None:
         predicted = predict_with(model, matrix)
     except Exception as e:
         raise StageError("predict", str(e)) from None
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quarter", "predicted"])
-    for q, v in zip(matrix.quarters, predicted):
-        writer.writerow([str(q), f"{float(v):.9f}"])
-    _write(cfg.out_dir, "predictions.csv", buf.getvalue().encode("utf-8"))
+    _write(cfg.out_dir, "predictions.csv", corpus_mod.csv_bytes(
+        ["quarter", "predicted"], ([str(q), f"{float(v):.9f}"] for q, v in zip(matrix.quarters, predicted))))
 
 
 def cmd_evaluate(args) -> None:
@@ -139,21 +127,8 @@ def cmd_evaluate(args) -> None:
     missing = [str(q) for q in matrix.quarters if str(q) not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")
-    p = np.asarray([predicted[str(q)] for q in matrix.quarters])
-    a = matrix.y
-    report = eval_mod.EvalReport(
-        rows=[
-            eval_mod.EvalRow(
-                label=args.label,
-                mse=eval_mod.mse(a, p),
-                rmse=eval_mod.rmse(a, p),
-                theils_u=eval_mod.theils_u(a, p, variant="U2"),
-                quarters=[str(q) for q in matrix.quarters],
-                actual=[float(v) for v in a],
-                predicted=[float(v) for v in p],
-            )
-        ]
-    )
+    row = eval_mod.score_row(args.label, matrix, [predicted[str(q)] for q in matrix.quarters])
+    report = eval_mod.EvalReport(rows=[row])
     _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(report))
     _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(report))
 

@@ -20,6 +20,7 @@ __all__ = [
     "parse_reviews",
     "parse_revenue",
     "group_by_quarter",
+    "csv_bytes",
 ]
 
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
@@ -186,7 +187,12 @@ def parse_revenue(data: bytes) -> RevenueSeries:
         raise CorpusError("CSV header must contain quarter,revenue")
     rows: list[tuple[Quarter, float]] = []
     for idx, row in enumerate(reader, start=2):
-        quarter = Quarter.parse(row["quarter"])
+        if row["quarter"] is None:
+            raise CorpusError(f"line {idx}: missing quarter")
+        try:
+            quarter = Quarter.parse(row["quarter"])
+        except CorpusError as e:
+            raise CorpusError(f"line {idx}: {e}") from None
         try:
             value = float(row["revenue"])
         except (TypeError, ValueError):
@@ -211,6 +217,15 @@ def group_by_quarter(reviews: list[Review]) -> dict[Quarter, list[Review]]:
     for review in reviews:
         groups.setdefault(review.quarter, []).append(review)
     return groups
+
+
+def csv_bytes(header, rows) -> bytes:
+    """UTF-8 CSV of ``header`` then ``rows``, every line ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def reviews_to_jsonl(reviews: list[Review]) -> bytes:

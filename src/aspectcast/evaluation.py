@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import csv_bytes
 from .features import SPLIT_RATIO, FeatureMatrix, GrowthSeries, chronological_split
 from .models import ForecasterSpec, fit_spec, predict_with
 from .models import forecast_arima  # noqa: F401  perfbench/tracing.py wraps this attribute
@@ -21,6 +20,7 @@ __all__ = [
     "mse",
     "rmse",
     "theils_u",
+    "score_row",
     "backtest",
     "emit_report_csv",
     "emit_report_json",
@@ -101,6 +101,24 @@ class EvalReport:
     rows: list = field(default_factory=list)
 
 
+def score_row(label: str, matrix: FeatureMatrix, predicted, history: float | None = None) -> EvalRow:
+    """The report row of ``predicted`` against the targets of ``matrix``.
+
+    Theil's U is U2: ``history`` is the target before the first row, and
+    without it the first step is dropped (see ``theils_u``).
+    """
+    actual = matrix.y
+    return EvalRow(
+        label=label,
+        mse=mse(actual, predicted),
+        rmse=rmse(actual, predicted),
+        theils_u=theils_u(actual, predicted, history=history),
+        quarters=[str(q) for q in matrix.quarters],
+        actual=[float(v) for v in actual],
+        predicted=[float(v) for v in predicted],
+    )
+
+
 def backtest(
     spec: ForecasterSpec,
     matrix: FeatureMatrix,
@@ -116,18 +134,7 @@ def backtest(
         predicted = predict_with(fit_spec(spec, train, growth), test)
     except Exception as e:
         raise MetricError(f"failed to fit: {e}") from e
-
-    actual = test.y
-    history = float(train.y[-1])
-    return EvalRow(
-        label=spec.label,
-        mse=mse(actual, predicted),
-        rmse=rmse(actual, predicted),
-        theils_u=theils_u(actual, predicted, history=history),
-        quarters=[str(q) for q in test.quarters],
-        actual=[float(v) for v in actual],
-        predicted=[float(v) for v in predicted],
-    )
+    return score_row(spec.label, test, predicted, history=float(train.y[-1]))
 
 
 def _fmt(value: float) -> str:
@@ -135,12 +142,8 @@ def _fmt(value: float) -> str:
 
 
 def emit_report_csv(report: EvalReport) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "mse", "rmse", "theils_u"])
-    for row in report.rows:
-        writer.writerow([row.label, _fmt(row.mse), _fmt(row.rmse), _fmt(row.theils_u)])
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes(["model", "mse", "rmse", "theils_u"],
+                     ([row.label, _fmt(row.mse), _fmt(row.rmse), _fmt(row.theils_u)] for row in report.rows))
 
 
 def emit_report_json(report: EvalReport) -> bytes:
@@ -161,17 +164,9 @@ def emit_report_json(report: EvalReport) -> bytes:
 
 def emit_plot_csv(report: EvalReport) -> bytes:
     """Actual-vs-predicted series: ``quarter,actual,<model labels...>``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    labels = [row.label for row in report.rows]
-    writer.writerow(["quarter", "actual", *labels])
-    if report.rows:
-        quarters = report.rows[0].quarters
-        for row in report.rows:
-            if row.quarters != quarters:
-                raise MetricError("plot data requires all rows to share test quarters")
-        for i, q in enumerate(quarters):
-            writer.writerow(
-                [q, _fmt(report.rows[0].actual[i]), *(_fmt(r.predicted[i]) for r in report.rows)]
-            )
-    return buf.getvalue().encode("utf-8")
+    quarters = report.rows[0].quarters if report.rows else []
+    if any(row.quarters != quarters for row in report.rows):
+        raise MetricError("plot data requires all rows to share test quarters")
+    return csv_bytes(["quarter", "actual", *(row.label for row in report.rows)],
+                     ([q, _fmt(report.rows[0].actual[i]), *(_fmt(r.predicted[i]) for r in report.rows)]
+                      for i, q in enumerate(quarters)))

@@ -100,6 +100,15 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return len(self.quarters)
 
+    def select(self, columns) -> np.ndarray:
+        """The ``X`` columns named ``columns``, in that order."""
+        idx = []
+        for name in columns:
+            if name not in self.columns:
+                raise FeatureError(f"missing feature: {name!r}")
+            idx.append(self.columns.index(name))
+        return self.X[:, idx]
+
     def to_csv(self) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf)

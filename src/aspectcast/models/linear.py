@@ -38,15 +38,10 @@ class LinearModel:
         return total
 
     def predict(self, matrix: FeatureMatrix) -> np.ndarray:
-        idx = []
-        for name in self.selected_features:
-            if name not in matrix.columns:
-                raise FitError(f"missing feature: {name!r}")
-            idx.append(matrix.columns.index(name))
-        coefs = np.asarray([self.coefficients[n] for n in self.selected_features])
-        if not idx:
+        X = matrix.select(self.selected_features)
+        if not self.selected_features:
             return np.full(matrix.n_rows, self.intercept)
-        return self.intercept + matrix.X[:, idx] @ coefs
+        return self.intercept + X @ np.asarray([self.coefficients[n] for n in self.selected_features])
 
 
 def _coefficients(X: np.ndarray, y: np.ndarray, columns: list):

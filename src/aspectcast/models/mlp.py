@@ -51,8 +51,7 @@ class MlpModel:
         return _sigmoid(z @ self.w2 + self.b2)
 
     def predict(self, matrix: FeatureMatrix) -> np.ndarray:
-        idx = [matrix.columns.index(c) for c in self.columns]
-        out = self._forward(matrix.X[:, idx])
+        out = self._forward(matrix.select(self.columns))
         return out * self.target_scale + self.target_offset
 
 

@@ -46,8 +46,7 @@ class SvrModel:
         return K @ self.dual_coef + self.rho
 
     def predict(self, matrix: FeatureMatrix) -> np.ndarray:
-        idx = [matrix.columns.index(c) for c in self.columns]
-        return self.decision(matrix.X[:, idx])
+        return self.decision(matrix.select(self.columns))
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

@@ -45,10 +45,6 @@ DEFAULT_MODELS = (
 )
 
 
-def _bundled(name: str) -> Path:
-    return Path(str(resources.files("aspectcast").joinpath(f"data/{name}")))
-
-
 @dataclass
 class PipelineConfig:
     """A run's settings, one config key per field; a null input path means the bundled default."""
@@ -67,13 +63,13 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
-        try:
-            obj = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            raise StageError("config", f"{path}: {e}") from None
-        if not isinstance(obj, dict):
-            raise StageError("config", f"{path}: top level must be a JSON object")
-        return cls.from_dict(obj, overrides, base=Path(path).parent)
+        def parse(data):
+            obj = json.loads(data.decode("utf-8"))
+            if not isinstance(obj, dict):
+                raise ValueError("top level must be a JSON object")
+            return obj
+
+        return cls.from_dict(read_input("config", path, parse), overrides, base=Path(path).parent)
 
     @classmethod
     def from_dict(cls, obj: dict, overrides: dict | None = None, base: Path | None = None) -> "PipelineConfig":
@@ -94,15 +90,15 @@ class PipelineConfig:
 
         def resolve(name, bundled=None):  # an input path is relative to the config file
             if values[name] is None:
-                return bundled and _bundled(bundled)
+                return bundled and Path(str(resources.files("aspectcast").joinpath(f"data/{bundled}")))
             p = Path(values[name])
             return base / p if base is not None and not p.is_absolute() else p
 
         return cls(
             reviews_path=resolve("reviews", "synthetic/reviews.jsonl"),
             revenue_path=resolve("revenue", "synthetic/revenue.csv"),
-            vocabulary_path=resolve("vocabulary"),
-            lexicon_path=resolve("lexicon"),
+            vocabulary_path=resolve("vocabulary", "default_vocabulary.json"),
+            lexicon_path=resolve("lexicon", "sentiment_lexicon.txt"),
             heuristics_path=resolve("heuristics"),
             aspect_set=values["aspects"],
             include_lag=values["include_lag"],
@@ -202,10 +198,8 @@ def load_inputs(cfg: PipelineConfig):
         reviews_file = Path(cfg.reviews_path).open("rb")
     try:
         revenue = read_input("ingest", cfg.revenue_path, corpus_mod.parse_revenue)
-        vocab = (read_input("ingest", cfg.vocabulary_path, aspects_mod.load_vocabulary)
-                 if cfg.vocabulary_path else aspects_mod.default_vocabulary())
-        lexicon = (read_input("ingest", cfg.lexicon_path, sentiment_mod.load_lexicon)
-                   if cfg.lexicon_path else sentiment_mod.default_lexicon())
+        vocab = read_input("ingest", cfg.vocabulary_path, aspects_mod.load_vocabulary)
+        lexicon = read_input("ingest", cfg.lexicon_path, sentiment_mod.load_lexicon)
         heuristics = (read_input("ingest", cfg.heuristics_path, sentiment_mod.HeuristicConfig.from_json)
                       if cfg.heuristics_path else sentiment_mod.HeuristicConfig())
     except BaseException:

@@ -309,6 +309,25 @@ class TestErrors:
         assert main(["pipeline", "--config", str(config)]) == 1
         assert "error [config]" in capsys.readouterr().err
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff{}")
+        assert main(["features", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [config] {config}: not valid UTF-8 (invalid start byte)" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, problem", [
+        ("revenue,quarter\n110\n", "line 2: missing quarter"),
+        ("quarter,revenue\n2020Q4,100\n2020Q5,110\n", "line 3: invalid quarter label: '2020Q5'"),
+    ])
+    def test_bad_revenue_quarter(self, tmp_path, capsys, rows, problem):
+        config = write_small_corpus(tmp_path)
+        (tmp_path / "revenue.csv").write_text(rows)
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error [ingest] {tmp_path / 'revenue.csv'}: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"aspect": 13}))
@@ -493,6 +512,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error [fit]" in err and "'gama'" in err
         assert not (out / "model_svr.json").exists()
+
+    @pytest.mark.parametrize("name", ["seed", "label", "kind"])
+    def test_fit_param_named_like_a_spec_field(self, tmp_path, capsys, name):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        assert main([
+            "fit", "--features", str(out / "features.csv"), "--kind", "lr",
+            "--params", json.dumps({name: 3}), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error [fit] unknown keys ['{name}']; it takes ['selection', 'threshold']" in err
+        assert not (out / "model_lr.json").exists()
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp", "svr"])
+    def test_predict_missing_feature(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        main(["features", "--out", str(out / "16")])
+        main(["features", "--aspects", "13", "--out", str(out / "13")])
+        main(["fit", "--features", str(out / "16" / "features.csv"), "--kind", kind, "--out", str(out)])
+        assert main([
+            "predict", "--model", str(out / f"model_{kind}.json"),
+            "--features", str(out / "13" / "features.csv"), "--out", str(out),
+        ]) == 1
+        # the first of the 16 aspects the 13 leave out
+        assert "error [predict] missing feature: 'after_sales_experience'" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
 
     @pytest.mark.parametrize("kind, params, named", BAD_PARAMS)
     def test_bad_fit_param(self, tmp_path, capsys, kind, params, named):

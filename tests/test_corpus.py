@@ -1,3 +1,7 @@
+import importlib.util
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 from aspectcast.corpus import (
@@ -118,6 +122,18 @@ class TestParseRevenue:
         # nan <= 0 is false, so a positivity check alone lets nan through
         with pytest.raises(CorpusError, match=f"line 3: non-finite revenue '{value}' for 2016Q1"):
             parse_revenue(f"quarter,revenue\n2015Q4,100\n2016Q1,{value}\n".encode())
+
+
+def test_bundled_corpus_regenerates(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    bundled = resources.files("aspectcast").joinpath("data/synthetic")
+    for name in ("reviews.jsonl", "revenue.csv"):
+        assert (tmp_path / name).read_bytes() == bundled.joinpath(name).read_bytes()
 
 
 class TestGroupByQuarter:
