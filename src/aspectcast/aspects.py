@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import compress, count
 
 from .corpus import Review
 
@@ -98,6 +98,8 @@ class AspectVocabulary:
     def phrase_index(self) -> dict:
         """First phrase token -> [(remaining tokens, phrase, aspect position in ASPECT_SET_16)].
 
+        Tokens are the UTF-8 bytes ``_tokenize`` gives a review, so a phrase
+        token equals a review token exactly when their strings are equal.
         Phrases split on single spaces, so a phrase with a doubled, leading or
         trailing space gets an empty token, which no review token equals, and
         never matches.
@@ -105,7 +107,7 @@ class AspectVocabulary:
         index: dict = {}
         for position, aspect_id in enumerate(ASPECT_SET_16):
             for phrase in self.for_aspect(aspect_id):
-                head, *rest = phrase.split(" ")
+                head, *rest = phrase.encode("utf-8", "surrogatepass").split(b" ")
                 index.setdefault(head, []).append((rest, phrase, position))
         return index
 
@@ -145,11 +147,15 @@ def default_vocabulary() -> AspectVocabulary:
     return load_vocabulary(data)
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte but a-z and 0-9 becomes a space; the UTF-8 bytes of a non-ASCII
+# character are all >= 0x80, so the runs left are the [a-z0-9]+ runs of the text
+_SEPARATE = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
 
 
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+def _tokenize(text: str) -> list[bytes]:
+    """The ``[a-z0-9]+`` runs of the lowered ``text``, as ASCII bytes."""
+    # surrogatepass: a lone surrogate (a JSON "\ud800" escape) is not an error
+    return text.lower().encode("utf-8", "surrogatepass").translate(_SEPARATE).split()
 
 
 def match_aspects(review: Review, vocab: AspectVocabulary) -> list[AspectMatch]:
@@ -161,14 +167,12 @@ def match_aspects(review: Review, vocab: AspectVocabulary) -> list[AspectMatch]:
     index = vocab.phrase_index
     # The empty phrase occurs in exactly the reviews without tokens; a lone
     # empty token lets the loop find it there.
-    tokens = _tokenize(review.text) or [""]
+    tokens = _tokenize(review.text) or [b""]
     hits: dict = {}
-    for start, token in enumerate(tokens):
-        entries = index.get(token)
-        if entries is None:
-            continue
+    # only the tokens that start some phrase reach the loop body
+    for start in compress(count(), map(index.get, tokens)):
         after = start + 1
-        for rest, phrase, position in entries:
+        for rest, phrase, position in index[tokens[start]]:
             if not rest or tokens[after:after + len(rest)] == rest:
                 hits.setdefault(position, set()).add(phrase)
     return [

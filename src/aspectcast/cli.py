@@ -109,21 +109,28 @@ def cmd_predict(args) -> None:
 def cmd_evaluate(args) -> None:
     cfg = _load_config(args)
     matrix = _read_features(args)
+
+    def error(message):  # ``message`` starts with its line number
+        return StageError("evaluate", f"{args.predictions} {message}")
+
     reader = csv.DictReader(io.StringIO(read_input("evaluate", args.predictions, bytes.decode)))
-    absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
-    if absent:
-        raise StageError("evaluate", f"{args.predictions}: missing columns {absent}")
     predicted = {}
-    for row in reader:
-        try:
-            if None in (row["quarter"], row["predicted"]):
-                raise ValueError("too few fields")
-            value = float(row["predicted"])
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite predicted value {row['predicted']!r}")
-            predicted[row["quarter"]] = value
-        except ValueError as e:
-            raise StageError("evaluate", f"{args.predictions} line {reader.line_num}: {e}") from None
+    with corpus_mod.csv_errors(reader.reader, error):
+        absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
+        if absent:
+            raise StageError("evaluate", f"{args.predictions}: missing columns {absent}")
+        for row in reader:
+            try:
+                if None in (row["quarter"], row["predicted"]):
+                    raise ValueError("too few fields")
+                if row["quarter"] in predicted:
+                    raise ValueError(f"duplicate quarter {row['quarter']!r}")
+                value = float(row["predicted"])
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite predicted value {row['predicted']!r}")
+                predicted[row["quarter"]] = value
+            except ValueError as e:
+                raise error(f"line {reader.line_num}: {e}") from None
     missing = [str(q) for q in matrix.quarters if str(q) not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")

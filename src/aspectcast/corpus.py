@@ -9,6 +9,7 @@ import json
 import math
 import re
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
@@ -21,6 +22,7 @@ __all__ = [
     "parse_revenue",
     "group_by_quarter",
     "csv_bytes",
+    "csv_errors",
 ]
 
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
@@ -109,7 +111,10 @@ class RevenueSeries:
 def _build_review(idx, rid, qlabel, text, source, seen_ids):
     if rid is None or rid == "":
         raise CorpusError(f"line {idx}: missing review id")
-    if rid in seen_ids:
+    if isinstance(rid, (list, dict)):
+        raise CorpusError(f"line {idx}: review id must be a string or a number, not {rid!r}")
+    # ids compare as the string the Review carries, so 5 and "5" are one id
+    if str(rid) in seen_ids:
         raise CorpusError(f"line {idx}: duplicate review id {rid!r}")
     if text is None or not str(text).strip():
         raise CorpusError(f"line {idx}: empty text for review {rid!r}")
@@ -117,7 +122,7 @@ def _build_review(idx, rid, qlabel, text, source, seen_ids):
         quarter = Quarter.parse(str(qlabel))
     except CorpusError as e:
         raise CorpusError(f"line {idx}: {e}") from None
-    seen_ids.add(rid)
+    seen_ids.add(str(rid))
     return Review(id=str(rid), quarter=quarter, text=str(text), source=source or None)
 
 
@@ -171,37 +176,51 @@ def _jsonl_reviews(lines) -> Iterator[Review]:
 def _csv_reviews(lines) -> Iterator[Review]:
     seen: set[str] = set()
     reader = csv.DictReader(lines)
-    try:
+    with csv_errors(reader.reader):
         if reader.fieldnames is None or not {"id", "quarter", "text"} <= set(reader.fieldnames):
             raise CorpusError("CSV header must contain id,quarter,text")
         for idx, row in enumerate(reader, start=2):
             yield _build_review(idx, row.get("id"), row.get("quarter"), row.get("text"), row.get("source"), seen)
+
+
+@contextmanager
+def csv_errors(reader, error=CorpusError):
+    """A ``csv.Error`` in the block, such as a field over the csv module's size
+    limit, raises ``error("line N: malformed CSV (...)")`` at ``reader``'s line.
+
+    ``reader`` is a ``csv.reader``: a ``DictReader``'s own ``line_num`` keeps
+    the last good row's line, so pass its ``.reader``.
+    """
+    try:
+        yield
     except csv.Error as e:
-        raise CorpusError(f"line {reader.reader.line_num}: malformed CSV ({e})") from None
+        raise error(f"line {reader.line_num}: malformed CSV ({e})") from None
 
 
 def parse_revenue(data: bytes) -> RevenueSeries:
     """Parse a ``quarter,revenue`` CSV into a sorted, contiguous RevenueSeries."""
     reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
-    if reader.fieldnames is None or not {"quarter", "revenue"} <= set(reader.fieldnames):
-        raise CorpusError("CSV header must contain quarter,revenue")
     rows: list[tuple[Quarter, float]] = []
-    for idx, row in enumerate(reader, start=2):
-        if row["quarter"] is None:
-            raise CorpusError(f"line {idx}: missing quarter")
-        try:
-            quarter = Quarter.parse(row["quarter"])
-        except CorpusError as e:
-            raise CorpusError(f"line {idx}: {e}") from None
-        try:
-            value = float(row["revenue"])
-        except (TypeError, ValueError):
-            raise CorpusError(f"line {idx}: non-numeric revenue {row['revenue']!r}") from None
-        if not math.isfinite(value):
-            raise CorpusError(f"line {idx}: non-finite revenue {row['revenue']!r} for {quarter}")
-        if value <= 0:
-            raise CorpusError(f"line {idx}: non-positive revenue for {quarter}")
-        rows.append((quarter, value))
+    with csv_errors(reader.reader):
+        if reader.fieldnames is None or not {"quarter", "revenue"} <= set(reader.fieldnames):
+            raise CorpusError("CSV header must contain quarter,revenue")
+        for row in reader:
+            idx = reader.line_num  # the physical line: blank lines are skipped, not counted
+            if row["quarter"] is None:
+                raise CorpusError(f"line {idx}: missing quarter")
+            try:
+                quarter = Quarter.parse(row["quarter"])
+            except CorpusError as e:
+                raise CorpusError(f"line {idx}: {e}") from None
+            try:
+                value = float(row["revenue"])
+            except (TypeError, ValueError):
+                raise CorpusError(f"line {idx}: non-numeric revenue {row['revenue']!r}") from None
+            if not math.isfinite(value):
+                raise CorpusError(f"line {idx}: non-finite revenue {row['revenue']!r} for {quarter}")
+            if value <= 0:
+                raise CorpusError(f"line {idx}: non-positive revenue for {quarter}")
+            rows.append((quarter, value))
     rows.sort(key=lambda qv: qv[0])
     if len({q for q, _ in rows}) != len(rows):
         raise CorpusError("duplicate quarter in revenue file")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Quarter, RevenueSeries
+from .corpus import Quarter, RevenueSeries, csv_errors
 from .schema import Key
 
 __all__ = [
@@ -120,28 +120,29 @@ class FeatureMatrix:
     @classmethod
     def from_csv(cls, data: bytes) -> "FeatureMatrix":
         reader = csv.reader(io.StringIO(data.decode("utf-8")))
-        header = next(reader, None)
-        if not header or header[0] != "quarter" or header[-1] != "target_growth":
-            raise FeatureError("line 1: header must be quarter,<columns...>,target_growth")
-        columns = header[1:-1]
-        quarters, rows, targets = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FeatureError(f"line {reader.line_num}: {len(row)} fields, header has {len(header)}")
-            try:
-                quarters.append(Quarter.parse(row[0]))
-                values = [float(v) for v in row[1:]]
-            except ValueError as e:
-                raise FeatureError(f"line {reader.line_num}: {e}") from None
-            bad = [j for j, v in enumerate(values, 1) if not math.isfinite(v)]
-            if bad:
-                raise FeatureError(
-                    f"line {reader.line_num}: non-finite value {row[bad[0]]!r} in column {header[bad[0]]!r}"
-                )
-            rows.append(values[:-1])
-            targets.append(values[-1])
+        with csv_errors(reader, FeatureError):
+            header = next(reader, None)
+            if not header or header[0] != "quarter" or header[-1] != "target_growth":
+                raise FeatureError("line 1: header must be quarter,<columns...>,target_growth")
+            columns = header[1:-1]
+            quarters, rows, targets = [], [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FeatureError(f"line {reader.line_num}: {len(row)} fields, header has {len(header)}")
+                try:
+                    quarters.append(Quarter.parse(row[0]))
+                    values = [float(v) for v in row[1:]]
+                except ValueError as e:
+                    raise FeatureError(f"line {reader.line_num}: {e}") from None
+                bad = [j for j, v in enumerate(values, 1) if not math.isfinite(v)]
+                if bad:
+                    raise FeatureError(
+                        f"line {reader.line_num}: non-finite value {row[bad[0]]!r} in column {header[bad[0]]!r}"
+                    )
+                rows.append(values[:-1])
+                targets.append(values[-1])
         X = np.asarray(rows, dtype=float).reshape(len(quarters), len(columns))
         return cls(quarters=quarters, columns=columns, X=X, y=np.asarray(targets))
 

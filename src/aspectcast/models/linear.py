@@ -144,7 +144,7 @@ def fit_lr(train: FeatureMatrix, selection: str = LrSpec.selection,
         idx = [columns.index(c) for c in active]
         X = train.X[:, idx] if idx else np.empty((train.n_rows, 0))
         if selection == "all":
-            # nothing reads p-values here, so SciPy is not imported
+            # nothing reads p-values here, so none are computed
             beta = _coefficients(X, train.y, active)[2]
             break
         beta, pvalues = _ols(X, train.y, active)

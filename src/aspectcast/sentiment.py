@@ -165,25 +165,26 @@ def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None
         not w.isupper() and any(c.isalpha() for c in w) for w in words
     )
 
+    caps_boost, increment, window = cfg.caps_boost, cfg.degree_increment, cfg.negation_window
     valences = []
     for i, v in hits:
         sign = 1.0 if v > 0 else -1.0
-        if mixed_case and _is_caps(words[i]):
-            v += sign * cfg.caps_boost
+        # isupper first: most words are not upper case, and it is cheaper than _is_caps
+        if mixed_case and words[i].isupper() and _is_caps(words[i]):
+            v += sign * caps_boost
         # degree modifiers in the few tokens before this one
-        for dist in range(1, min(3, i) + 1):
+        for dist in range(1, i + 1 if i < 3 else 4):
             booster = _DEGREE.get(lowered[i - dist])
             if booster is None:
                 continue
-            scalar = cfg.degree_increment if booster else -cfg.degree_increment
+            scalar = increment if booster else -increment
             if scalar != 0.0:
                 scalar *= _DISTANCE_DECAY[dist - 1]
                 if mixed_case and _is_caps(words[i - dist]):
-                    scalar += math.copysign(cfg.caps_boost * 0.25, scalar)
+                    scalar += math.copysign(caps_boost * 0.25, scalar)
                 v += sign * scalar
         # negation within the window before this token
-        lo = max(0, i - cfg.negation_window)
-        if not _NEGATIONS.isdisjoint(lowered[lo:i]):
+        if not _NEGATIONS.isdisjoint(lowered[i - window if i > window else 0:i]):
             v *= cfg.negation_factor
         valences.append(v)
 

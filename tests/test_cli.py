@@ -328,6 +328,38 @@ class TestErrors:
         assert f"error [ingest] {tmp_path / 'revenue.csv'}: {problem}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_revenue_error_names_the_physical_line(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        (tmp_path / "revenue.csv").write_text("quarter,revenue\n\n2020Q1,100\n2020Q5,110\n")
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [ingest] {tmp_path / 'revenue.csv'}: line 4: invalid quarter label: '2020Q5'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "fit", "evaluate"])
+    def test_csv_field_over_size_limit(self, tmp_path, capsys, command):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        assert main(["features", "--config", str(config), "--out", str(out)]) == 0
+        huge = "1" * (csv.field_size_limit() + 1)
+        bad = tmp_path / "bad.csv"
+        if command == "ingest":  # revenue.csv
+            bad.write_text(f"quarter,revenue\n2016Q1,100\n2016Q2,{huge}\n")
+            config.write_text(json.dumps({**json.loads(config.read_text()), "revenue": "bad.csv"}))
+            args, prefix = ["--config", str(config)], f"{bad}:"
+        elif command == "fit":  # features.csv
+            bad.write_text(f"quarter,a,target_growth\n2016Q2,0.5,0.1\n2016Q3,{huge},0.2\n")
+            args, prefix = ["--features", str(bad), "--kind", "lr"], str(bad)
+        else:  # predictions.csv
+            bad.write_text(f"quarter,predicted\n2016Q3,0.01\n2016Q4,{huge}\n")
+            args = ["--features", str(out / "features.csv"), "--predictions", str(bad)]
+            prefix = str(bad)
+        assert main([command, *args, "--out", str(tmp_path / "out2")]) == 1
+        err = capsys.readouterr().err
+        assert (f"error [{command}] {prefix} line 3: malformed CSV "
+                f"(field larger than field limit ({csv.field_size_limit()}))") in err
+        assert not (tmp_path / "out2").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"aspect": 13}))
@@ -651,6 +683,26 @@ class TestErrors:
         ]) == 1
         err = capsys.readouterr().err
         assert f"error [evaluate] {predictions} line 3: non-finite predicted value {value!r}" in err
+        assert not (out / "report.csv").exists()
+
+    def test_predictions_duplicate_quarter(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        features = out / "features.csv"
+        assert main(["fit", "--features", str(features), "--kind", "arima", "--out", str(out)]) == 0
+        assert main(["predict", "--model", str(out / "model_arima.json"), "--features", str(features),
+                     "--out", str(out)]) == 0
+        predictions = out / "predictions.csv"
+        lines = predictions.read_text().splitlines()
+        first = lines[1].split(",")[0]
+        predictions.write_text("\n".join(lines + [f"{first},5.0"]) + "\n")
+        assert main([
+            "evaluate", "--features", str(features), "--predictions", str(predictions),
+            "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error [evaluate] {predictions} line {len(lines) + 1}: duplicate quarter {first!r}" in err
         assert not (out / "report.csv").exists()
 
     def test_predictions_row_shorter_than_header(self, tmp_path, capsys):

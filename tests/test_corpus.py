@@ -85,6 +85,21 @@ class TestParseReviews:
         with pytest.raises(CorpusError, match="duplicate"):
             parse_reviews(data, "jsonl")
 
+    def test_duplicate_id_compares_as_loaded(self):
+        # 5 and "5" both load as review '5'
+        data = (
+            b'{"id":5,"quarter":"2016Q4","text":"a"}\n'
+            b'{"id":"5","quarter":"2016Q4","text":"b"}'
+        )
+        with pytest.raises(CorpusError, match="line 2: duplicate review id '5'"):
+            parse_reviews(data, "jsonl")
+
+    @pytest.mark.parametrize("rid", [b'["r1"]', b'{"a": 1}', b"[]"])
+    def test_id_not_a_string_or_number(self, rid):
+        data = b'{"id":"r0","quarter":"2016Q4","text":"a"}\n{"id":' + rid + b',"quarter":"2016Q4","text":"b"}'
+        with pytest.raises(CorpusError, match="line 2: review id must be a string or a number"):
+            parse_reviews(data, "jsonl")
+
     def test_malformed_line_number(self):
         data = b'{"id":"r1","quarter":"2016Q4","text":"a"}\n{broken'
         with pytest.raises(CorpusError, match="line 2"):

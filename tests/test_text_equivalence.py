@@ -12,7 +12,7 @@ from dataclasses import astuple
 from importlib import resources
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aspectcast.aspects import (
     ASPECT_SET_16,
@@ -329,4 +329,20 @@ class TestMatchEquivalence:
     def test_generated_texts(self, words, seps):
         text = "".join(w + s for w, s in zip(words, seps))
         for vocab in (VOCAB, RAW_VOCAB, SPACED_VOCAB):
+            assert_same_matches(text, vocab)
+
+    # every code point, lone surrogates included (a JSONL "\ud800" escape
+    # loads as one), and characters whose lower case is or holds ASCII
+    @given(st.text(st.characters(blacklist_categories=())))
+    @example("\ud800 cost savings")
+    @example("\u212a")  # Kelvin sign: lowers to "k"
+    @example("\u0130 cost")  # lowers to "i" and a combining dot
+    @example("a\x1cb")
+    @example("\x00lock in")
+    @example("Stra\u00dfe")
+    @example("lock\u00b2in")  # a UTF-8 continuation byte (0xb2) that is a digit as a code point
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_unicode(self, text):
+        assume(text.strip())  # a review's text is never blank
+        for vocab in (VOCAB, RAW_VOCAB):
             assert_same_matches(text, vocab)
