@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -148,6 +149,7 @@ def cmd_pipeline(args) -> None:
     _write(cfg.out_dir, "plot_data.csv", eval_mod.emit_plot_csv(report))
 
 
+@functools.cache  # built once per process; each parse_args fills a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspectcast",

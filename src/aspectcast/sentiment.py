@@ -10,8 +10,11 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, count
+from operator import itemgetter
 
 from .schema import check_fields, key, keys, validate
 
@@ -69,7 +72,12 @@ class HeuristicConfig:
 
 
 def load_lexicon(data: bytes) -> SentimentLexicon:
-    """Load a tab-separated ``token<TAB>valence`` lexicon; extra columns ignored."""
+    """Load a tab-separated ``token<TAB>valence`` lexicon; extra columns ignored.
+
+    A token, as written or lowered, must clean to itself, the word
+    ``analyze`` looks up: one that holds whitespace or an apostrophe, or has
+    punctuation at either end, can never match a word of a text.
+    """
     lexicon: SentimentLexicon = {}
     for idx, line in enumerate(data.decode("utf-8").splitlines(), start=1):
         if not line.strip():
@@ -77,7 +85,12 @@ def load_lexicon(data: bytes) -> SentimentLexicon:
         parts = line.split("\t")
         if len(parts) < 2:
             raise LexiconError(f"line {idx}: expected token<TAB>valence")
-        token = parts[0].strip().lower()
+        written = parts[0].strip()
+        token = written.lower()
+        # "Dİ" lowers to "di̇", whose combining dot cleaning strips: the
+        # token is still the word of a text that says "Dİ"
+        if not any(t.split() == [t] and _clean(t).lower() == token for t in (written, token)):
+            raise LexiconError(f"line {idx}: token {written!r} can never match a scored word")
         try:
             valence = float(parts[1])
         except ValueError:
@@ -140,37 +153,61 @@ def normalize_valence_sum(total: float, alpha: float = HeuristicConfig.alpha) ->
     return max(-1.0, min(1.0, total / math.sqrt(total * total + alpha)))
 
 
-def _is_caps(word: str) -> bool:
-    return word.isupper() and any(c.isalpha() for c in word)
+# raw whitespace token -> (lowered cleaned word, all caps, votes for mixed
+# case), or _EMPTY for a token that cleans to nothing. The facts depend on the
+# token's characters alone, so one table serves every lexicon and config; it
+# is cleared when it reaches _TOKEN_TABLE_CAP entries.
+_TOKENS: dict[str, tuple[str, bool, bool]] = {}
+_TOKEN_TABLE_CAP = 2**14
+_EMPTY = ("", False, False)
+_WORD = itemgetter(0)
+_MIXED = itemgetter(2)
+
+
+def _token(token: str) -> tuple[str, bool, bool]:
+    """Clean, case-fold and flag one raw token, and record it in ``_TOKENS``."""
+    # _clean leaves a token made only of letters and digits unchanged
+    word = token if token.isalnum() else _clean(token)
+    if word:
+        upper = word.isupper()
+        alpha = any(c.isalpha() for c in word)
+        # the lowered word is interned: "Good", "good." and "GOOD!" share it
+        facts = (sys.intern(word.lower()), upper and alpha, alpha and not upper)
+    else:
+        facts = _EMPTY
+    if len(_TOKENS) >= _TOKEN_TABLE_CAP:
+        _TOKENS.clear()
+    _TOKENS[token] = facts
+    return facts
 
 
 def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None = None) -> SentimentScores:
     """Score one text; unknown tokens are neutral, empty text scores all zeros."""
     cfg = config or _DEFAULT_HEURISTICS
-    # _clean leaves a token made only of letters and digits unchanged
-    words = [t if t.isalnum() else _clean(t) for t in text.split()]
-    if not all(words):
-        words = [w for w in words if w]
-        if not words:
+    known = _TOKENS.get
+    tokens = [known(t) or _token(t) for t in text.split()]
+    lowered = list(map(_WORD, tokens))
+    if not all(lowered):
+        tokens = [t for t in tokens if t is not _EMPTY]
+        if not tokens:
             return SentimentScores(0.0, 0.0, 0.0, 0.0)
-    lowered = [w.lower() for w in words]
+        lowered = list(map(_WORD, tokens))
 
     # Only lexicon hits (tokens with a nonzero valence) carry valence; every
     # other token scores 0.0 and adds nothing to the sums below, so the
     # heuristics run at the hits alone.
-    hits = [(i, v) for i, v in enumerate(map(lexicon.get, lowered)) if v]
+    scored = list(map(lexicon.get, lowered))
+    hits = list(compress(count(), scored))
     # caps emphasis only applies when the text is mixed-case (not shouting
     # throughout): some token with a letter is not all caps
-    mixed_case = bool(hits) and any(
-        not w.isupper() and any(c.isalpha() for c in w) for w in words
-    )
+    mixed_case = bool(hits) and any(map(_MIXED, tokens))
 
     caps_boost, increment, window = cfg.caps_boost, cfg.degree_increment, cfg.negation_window
     valences = []
-    for i, v in hits:
+    for i in hits:
+        v = scored[i]
         sign = 1.0 if v > 0 else -1.0
-        # isupper first: most words are not upper case, and it is cheaper than _is_caps
-        if mixed_case and words[i].isupper() and _is_caps(words[i]):
+        if mixed_case and tokens[i][1]:
             v += sign * caps_boost
         # degree modifiers in the few tokens before this one
         for dist in range(1, i + 1 if i < 3 else 4):
@@ -180,7 +217,7 @@ def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None
             scalar = increment if booster else -increment
             if scalar != 0.0:
                 scalar *= _DISTANCE_DECAY[dist - 1]
-                if mixed_case and _is_caps(words[i - dist]):
+                if mixed_case and tokens[i - dist][1]:
                     scalar += math.copysign(caps_boost * 0.25, scalar)
                 v += sign * scalar
         # negation within the window before this token
@@ -192,7 +229,7 @@ def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None
         pivot = lowered.index("but")
         valences = [
             v * (cfg.but_weight_before if i < pivot else cfg.but_weight_after if i > pivot else 1.0)
-            for (i, _), v in zip(hits, valences)
+            for i, v in zip(hits, valences)
         ]
 
     total = sum(valences)
@@ -205,10 +242,20 @@ def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None
     compound = normalize_valence_sum(total, cfg.alpha)
 
     # proportions: each token contributes mass |v| + 1 to its pole, neutral
-    # tokens mass 1; punctuation emphasis is credited to the dominant pole
-    pos_mass = sum(v + 1.0 for v in valences if v > 0)
-    neg_mass = sum(-v + 1.0 for v in valences if v < 0)
-    neu_mass = float(len(words) - len(valences) + sum(1 for v in valences if v == 0))
+    # tokens mass 1; punctuation emphasis is credited to the dominant pole.
+    # sum() adds up each pole: since Python 3.12 it compensates for rounding,
+    # which a running += would not
+    pos, neg, zeros = [], [], 0
+    for v in valences:
+        if v > 0:
+            pos.append(v + 1.0)
+        elif v < 0:
+            neg.append(-v + 1.0)
+        else:
+            zeros += 1
+    pos_mass = sum(pos)
+    neg_mass = sum(neg)
+    neu_mass = float(len(tokens) - len(valences) + zeros)
     if total > 0:
         pos_mass += emphasis
     elif total < 0:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import aspectcast
-from aspectcast.cli import main
+from aspectcast.cli import build_parser, main
 from aspectcast.corpus import parse_reviews
 from aspectcast.pipeline import PipelineConfig
 
@@ -131,6 +131,17 @@ class TestStages:
         assert "lagged_growth" in header
         # 8 quarters -> 7 growth values -> 6 rows once the lag drops the first
         assert len(lines) == 7
+
+    def test_parser_reuse_leaks_no_flags(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["features", "--no-lag", "--aspects", "13", "--out", str(out / "13")]) == 0
+        assert main(["features", "--out", str(out / "16")]) == 0
+        assert build_parser() is build_parser()
+        narrow = (out / "13" / "features.csv").read_text().splitlines()[0].split(",")
+        header = (out / "16" / "features.csv").read_text().splitlines()[0].split(",")
+        assert "lagged_growth" not in narrow and "after_sales_experience" not in narrow
+        assert "lagged_growth" in header and "after_sales_experience" in header
+        assert len(header) == 1 + 16 + 1 + 1  # quarter, aspects, lag, target
 
     def test_fit_predict_evaluate(self, tmp_path):
         config = write_small_corpus(tmp_path)
@@ -326,6 +337,16 @@ class TestErrors:
         (tmp_path / "revenue.csv").write_text(rows)
         assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert f"error [ingest] {tmp_path / 'revenue.csv'}: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lexicon_token_that_can_never_match(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("good\t1.9\ncan't\t-2\n")
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), lexicon="lexicon.txt")))
+        assert main(["ingest", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error [ingest] {lexicon}: line 2: token \"can't\" can never match a scored word" in err
         assert not (tmp_path / "out").exists()
 
     def test_revenue_error_names_the_physical_line(self, tmp_path, capsys):

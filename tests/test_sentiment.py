@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aspectcast.sentiment as sentiment
 from aspectcast.sentiment import (
     HeuristicConfig,
     LexiconError,
@@ -10,6 +11,7 @@ from aspectcast.sentiment import (
     default_lexicon,
     load_lexicon,
 )
+from test_text_equivalence import LEXICON, ODD_LEXICON, bits, bundled_reviews, reference_analyze
 
 LEX = {"good": 1.9, "great": 3.1, "bad": -2.5, "terrible": -2.1}
 CFG = HeuristicConfig()
@@ -37,6 +39,33 @@ class TestLoadLexicon:
         lex = default_lexicon()
         assert len(lex) > 100
         assert all(-4.0 <= v <= 4.0 for v in lex.values())
+
+    # a text's words lose apostrophes and edge punctuation and never hold
+    # whitespace, so these entries would load and score nothing
+    @pytest.mark.parametrize("entry, token, text", [
+        ("can't\t-2", "can't", "we can't"),
+        ("kind of\t1", "kind of", "kind of nice"),
+        ("!great\t3", "!great", "!great"),
+        ("great!\t3", "great!", "great!"),
+        ("'tis\t1", "'tis", "'tis"),
+        ("--\t1", "--", "--"),
+        ("ⓐ\t2", "ⓐ", "ⓐ"),  # a symbol with a case, not a letter
+    ])
+    def test_token_that_can_never_match(self, entry, token, text):
+        assert analyze(text, {token.lower(): 2.0}, CFG).compound == 0.0
+        with pytest.raises(LexiconError) as e:
+            load_lexicon(f"good\t1.9\n{entry}\n".encode())
+        assert str(e.value) == f"line 2: token {token!r} can never match a scored word"
+
+    def test_empty_token(self):
+        with pytest.raises(LexiconError, match="line 1: token '' can never match"):
+            load_lexicon(b"\t1.0")
+
+    @pytest.mark.parametrize("token", ["Great", "cant", "a_b", "3g", "404", "straße", "naïve", "Ⅻ", "Dİ"])
+    def test_token_that_matches_loads(self, token):
+        lex = load_lexicon(f"{token}\t2.0".encode())
+        assert lex == {token.lower(): 2.0}
+        assert analyze(f"so {token}!", lex, CFG).compound > 0
 
 
 class TestAnalyze:
@@ -149,3 +178,57 @@ class TestProperties:
             total / math.sqrt(total * total + 15.0), abs=1e-15
         )
         assert -1.0 <= normalize_valence_sum(total) <= 1.0
+
+
+@pytest.fixture
+def table(monkeypatch):
+    """An empty token table for one test."""
+    fresh = {}
+    monkeypatch.setattr(sentiment, "_TOKENS", fresh)
+    return fresh
+
+
+class TestTokenTable:
+    TEXTS = [
+        "Good good. GOOD! gOOd",
+        "the cloud is NOT good, but VERY reliable!!",
+        "Straße STRASSE ⓐ Ⓐ naïve NAÏVE 404 3G meh blah",
+        "meek slightly meek: not meek?? kind of BAD",
+        "SO VERY BAD. BUT good",
+    ]
+
+    @pytest.mark.parametrize("cfg", [HeuristicConfig(), HeuristicConfig(
+        caps_boost=2.0, degree_increment=1.0, negation_window=5, but_weight_before=0.0)])
+    def test_one_table_serves_every_lexicon_and_config(self, table, cfg):
+        texts = self.TEXTS + [r.text for r in bundled_reviews()]
+        for lexicon in (LEXICON, ODD_LEXICON, LEXICON):
+            for text in texts:
+                assert bits(analyze(text, lexicon, cfg)) == bits(reference_analyze(text, lexicon, cfg)), text
+        assert table
+
+    def test_lowered_words_are_shared(self, table):
+        analyze("Good good. GOOD!", LEX)
+        assert table["Good"][0] is table["good."][0] is table["GOOD!"][0] == "good"
+        assert table["GOOD!"][1] and not table["Good"][1]
+
+    def test_stays_within_its_cap(self, table):
+        cap = sentiment._TOKEN_TABLE_CAP
+        words = [f"w{i}" for i in range(cap + 500)]
+        lexicon = dict(LEXICON, **{w: (i % 9 - 4) / 2 for i, w in enumerate(words) if i % 3 == 0})
+        sizes = []
+        for start in range(0, len(words), 40):
+            text = "very " + " ".join(words[start:start + 40]) + " but NOT bad!"
+            assert bits(analyze(text, lexicon)) == bits(reference_analyze(text, lexicon)), text
+            sizes.append(len(table))
+        assert max(sizes) <= cap
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))  # it was cleared
+
+    def test_tokens_that_clean_to_nothing_hold_no_word_position(self, table):
+        cfg = HeuristicConfig(negation_window=1)
+        for _ in range(3):  # a cold table, then a warm one
+            for text in ["not !!! ' -- good", "very -- ' !!! good", "!!! ' --", "bad ' but -- good", "' -- GOOD"]:
+                assert bits(analyze(text, LEX, cfg)) == bits(reference_analyze(text, LEX, cfg)), text
+        assert table["!!!"] is table["'"] is table["--"] is sentiment._EMPTY
+        # "not" is the word just before "good", inside a window of one
+        assert analyze("not !!! ' -- good", LEX, cfg).compound < 0
+        assert analyze("!!! ' --", LEX, cfg) == analyze("", LEX, cfg)
