@@ -8,7 +8,7 @@ from .aspects import (
     load_vocabulary,
     match_aspects,
 )
-from .corpus import Quarter, Review, RevenueSeries, group_by_quarter, parse_revenue, parse_reviews
+from .corpus import Quarter, Review, RevenueSeries, parse_revenue, parse_reviews
 from .evaluation import backtest, mse, rmse, theils_u
 from .features import (
     FeatureMatrix,
@@ -28,6 +28,6 @@ from .models import (
     load_reference_model,
     predict_lr,
 )
-from .sentiment import HeuristicConfig, analyze, default_lexicon, load_lexicon
+from .sentiment import HeuristicConfig, analyze, analyze_many, default_lexicon, load_lexicon
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ __all__ = [
     "iter_reviews",
     "parse_reviews",
     "parse_revenue",
-    "group_by_quarter",
     "csv_bytes",
     "csv_errors",
 ]
@@ -56,11 +55,6 @@ class Quarter:
         if self.index == 4:
             return Quarter(self.year + 1, 1)
         return Quarter(self.year, self.index + 1)
-
-    def prev(self) -> "Quarter":
-        if self.index == 1:
-            return Quarter(self.year - 1, 4)
-        return Quarter(self.year, self.index - 1)
 
     def __str__(self) -> str:
         return f"{self.year}Q{self.index}"
@@ -100,12 +94,6 @@ class RevenueSeries:
 
     def __len__(self) -> int:
         return len(self.quarters)
-
-    def __getitem__(self, quarter: Quarter) -> float:
-        try:
-            return self.values[self.quarters.index(quarter)]
-        except ValueError:
-            raise KeyError(quarter) from None
 
 
 def _build_review(idx, rid, qlabel, text, source, seen_ids):
@@ -228,14 +216,6 @@ def parse_revenue(data: bytes) -> RevenueSeries:
         quarters=tuple(q for q, _ in rows),
         values=tuple(v for _, v in rows),
     )
-
-
-def group_by_quarter(reviews: list[Review]) -> dict[Quarter, list[Review]]:
-    """Partition reviews by quarter, preserving input order within each group."""
-    groups: dict[Quarter, list[Review]] = {}
-    for review in reviews:
-        groups.setdefault(review.quarter, []).append(review)
-    return groups
 
 
 def csv_bytes(header, rows) -> bytes:

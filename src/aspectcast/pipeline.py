@@ -156,16 +156,8 @@ def read_input(stage: str, path, parse):
         return parse(Path(path).read_bytes())
 
 
-# Parsing a block of reviews, then scoring it, takes less CPU than parsing
-# and scoring one review at a time: on a 2-vCPU virtual machine, alternating
-# made `aspectcast pipeline` on 20,000 generated reviews 5-10% slower. A block
-# holds at most this many reviews.
-READ_AHEAD = 256
-
-
 class _ReviewStream:
-    """The reviews of an open file, parsed as a single pass reads them,
-    ``READ_AHEAD`` records at a time.
+    """The reviews of an open file, parsed as a single pass reads them.
 
     The pass closes the file, at its end or at the first error, which fails
     ``ingest`` as ``read_input`` would; ``close`` closes it unread.
@@ -176,9 +168,7 @@ class _ReviewStream:
 
     def __iter__(self):
         with self._file, _input_errors("ingest", self._path):
-            reviews = corpus_mod.iter_reviews(self._file, self._format)
-            while block := list(islice(reviews, READ_AHEAD)):
-                yield from block
+            yield from corpus_mod.iter_reviews(self._file, self._format)
 
     def close(self):
         self._file.close()
@@ -210,9 +200,28 @@ def load_inputs(cfg: PipelineConfig):
     return reviews, revenue, vocab, lexicon, heuristics
 
 
+# Reviews are read, matched and scored this many at a time. Parsing a block,
+# then scoring it, takes less CPU than parsing and scoring one review at a
+# time: on a 2-vCPU virtual machine, alternating made `aspectcast pipeline` on
+# 20,000 generated reviews 5-10% slower. Scoring a block with one
+# ``analyze_many`` call spreads its NumPy passes over the block's texts.
+READ_AHEAD = 256
+
+
+def _blocks(reviews):
+    """``reviews`` as lists of at most ``READ_AHEAD``, in order."""
+    reviews = iter(reviews)
+    while block := list(islice(reviews, READ_AHEAD)):
+        yield block
+
+
 def score_reviews(reviews, lexicon, heuristics):
     """Sentiment scores of every review, in input order (``aspectcast sentiment``)."""
-    return [sentiment_mod.analyze(r.text, lexicon, heuristics) for r in reviews]
+    scores = []
+    for block in _blocks(reviews):
+        columns = sentiment_mod.analyze_many([r.text for r in block], lexicon, heuristics)
+        scores += map(sentiment_mod.SentimentScores, *(c.tolist() for c in columns))
+    return scores
 
 
 def build_perceptions(reviews, vocab, lexicon, heuristics):
@@ -222,13 +231,18 @@ def build_perceptions(reviews, vocab, lexicon, heuristics):
     review reaches a perception.
     """
     buckets: dict = {}
-    for review in reviews:
-        matches = aspects_mod.match_aspects(review, vocab)
-        if not matches:
-            continue
-        compound = sentiment_mod.analyze(review.text, lexicon, heuristics).compound
-        for match in matches:
-            buckets.setdefault((match.aspect_id, review.quarter), []).append(compound)
+    for block in _blocks(reviews):
+        # of the matched reviews: the quarter and aspect ids, not the matches,
+        # whose phrase sets would outweigh the scoring's peak memory
+        texts, keys = [], []
+        for review in block:
+            if matches := aspects_mod.match_aspects(review, vocab):
+                texts.append(review.text)
+                keys.append((review.quarter, [m.aspect_id for m in matches]))
+        compounds = sentiment_mod.analyze_many(texts, lexicon, heuristics)[3]
+        for (quarter, aspect_ids), compound in zip(keys, compounds.tolist()):
+            for aspect_id in aspect_ids:
+                buckets.setdefault((aspect_id, quarter), []).append(compound)
     return [
         features_mod.perception(aspect_id, quarter, compounds)
         for (aspect_id, quarter), compounds in sorted(

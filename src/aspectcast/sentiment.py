@@ -2,7 +2,8 @@
 
 Scores a text from per-token valences in [-4, 4], adjusted for capitalization
 emphasis, degree modifiers, negation, and the contrastive conjunction "but",
-then normalizes the summed valence to a compound score in [-1, 1].
+then normalizes the summed valence to a compound score in [-1, 1]. A block of
+texts is scored at once, each heuristic a NumPy pass over the block's hits.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress, count
-from operator import itemgetter
+from itertools import chain, compress, repeat
+
+import numpy as np
 
 from .schema import check_fields, key, keys, validate
 
@@ -27,6 +28,7 @@ __all__ = [
     "default_lexicon",
     "normalize_valence_sum",
     "analyze",
+    "analyze_many",
 ]
 
 
@@ -117,12 +119,19 @@ _DAMPENERS = {
     "slightly", "somewhat", "barely", "hardly", "marginally", "kinda",
     "fairly", "moderately", "partly", "occasionally", "sort", "kind",
 }
-# degree modifier -> True for a booster, False for a dampener
-_DEGREE = {**dict.fromkeys(_DAMPENERS, False), **dict.fromkeys(_BOOSTERS, True)}
 _NEGATIONS = {
     "not", "no", "never", "none", "neither", "nor", "cannot", "cant",
     "dont", "doesnt", "didnt", "isnt", "wasnt", "arent", "werent", "wont",
     "wouldnt", "couldnt", "shouldnt", "aint", "without", "lack", "lacking",
+}
+# A token's flag bits: all caps; has a letter and is not all caps (a vote for
+# mixed case); and what its lowered word is
+_CAPS, _MIXED, _BOOSTER, _DAMPENER, _NEGATION, _BUT = (1 << i for i in range(6))
+_WORD_FLAGS = {
+    **dict.fromkeys(_NEGATIONS, _NEGATION),
+    **dict.fromkeys(_DAMPENERS, _DAMPENER),
+    **dict.fromkeys(_BOOSTERS, _BOOSTER),
+    "but": _BUT,
 }
 # Scaling of a degree modifier's effect by distance from the sentiment token.
 _DISTANCE_DECAY = (1.0, 0.95, 0.9)
@@ -153,114 +162,225 @@ def normalize_valence_sum(total: float, alpha: float = HeuristicConfig.alpha) ->
     return max(-1.0, min(1.0, total / math.sqrt(total * total + alpha)))
 
 
-# raw whitespace token -> (lowered cleaned word, all caps, votes for mixed
-# case), or _EMPTY for a token that cleans to nothing. The facts depend on the
-# token's characters alone, so one table serves every lexicon and config; it
-# is cleared when it reaches _TOKEN_TABLE_CAP entries.
-_TOKENS: dict[str, tuple[str, bool, bool]] = {}
-_TOKEN_TABLE_CAP = 2**14
-_EMPTY = ("", False, False)
-_WORD = itemgetter(0)
-_MIXED = itemgetter(2)
+class _TokenTable(dict):
+    """Raw whitespace token -> token id, each token cleaned, case-folded and
+    flagged the first time a block holds it.
 
+    Id 0 stands for every token that cleans to nothing. For every other id,
+    ``word_ids`` holds the id of its lowered cleaned word, which "Good",
+    "good." and "GOOD!" share (``words`` maps each word to its id, in id
+    order), and ``flags`` its flag bits. The facts depend on the token's
+    characters alone, so one table serves every lexicon and config.
+    ``analyze_many`` clears it before a block once it holds
+    ``_TOKEN_TABLE_CAP`` tokens; a block's own new tokens stay until the
+    next block.
+    """
 
-def _token(token: str) -> tuple[str, bool, bool]:
-    """Clean, case-fold and flag one raw token, and record it in ``_TOKENS``."""
-    # _clean leaves a token made only of letters and digits unchanged
-    word = token if token.isalnum() else _clean(token)
-    if word:
+    def __init__(self):
+        super().__init__()
+        self.clear()
+
+    def clear(self):
+        super().clear()
+        self.words: dict[str, int] = {}
+        self.word_ids = np.zeros(1, np.intp)
+        self.flags = np.zeros(1, np.uint8)
+        self._new_word_ids: list[int] = []  # of the ids not yet in the arrays
+        self._new_flags: list[int] = []
+
+    def __missing__(self, token: str) -> int:
+        # _clean leaves a token made only of letters and digits unchanged
+        word = token if token.isalnum() else _clean(token)
+        if not word:
+            self[token] = 0
+            return 0
         upper = word.isupper()
         alpha = any(c.isalpha() for c in word)
-        # the lowered word is interned: "Good", "good." and "GOOD!" share it
-        facts = (sys.intern(word.lower()), upper and alpha, alpha and not upper)
-    else:
-        facts = _EMPTY
-    if len(_TOKENS) >= _TOKEN_TABLE_CAP:
-        _TOKENS.clear()
-    _TOKENS[token] = facts
-    return facts
+        lowered = word.lower()
+        self._new_word_ids.append(self.words.setdefault(lowered, len(self.words)))
+        self._new_flags.append((_CAPS if upper and alpha else 0) | (_MIXED if alpha and not upper else 0)
+                               | _WORD_FLAGS.get(lowered, 0))
+        token_id = self[token] = len(self.flags) + len(self._new_flags) - 1
+        return token_id
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``word_ids`` and ``flags``, grown to hold every id given so far."""
+        if self._new_flags:
+            self.word_ids = np.concatenate((self.word_ids, self._new_word_ids))
+            self.flags = np.concatenate((self.flags, np.array(self._new_flags, np.uint8)))
+            self._new_word_ids.clear()
+            self._new_flags.clear()
+        return self.word_ids, self.flags
+
+
+_TABLE = _TokenTable()
+_TOKEN_TABLE_CAP = 2**14
+
+
+def analyze_many(texts, lexicon: SentimentLexicon, config: HeuristicConfig | None = None):
+    """Score a sequence of texts: the (positive, neutral, negative, compound)
+    columns, one float64 array each, row ``i`` scoring ``texts[i]``.
+
+    Unknown tokens are neutral, and a text with no word scores all zeros.
+    Every heuristic is a NumPy pass over all lexicon hits of the block, doing
+    for each hit and each text the float operations of scoring it alone, in
+    the same order; a text's valences and pole masses are added hit by hit,
+    left to right. Peak memory grows with the block, so score a long
+    sequence a block at a time.
+    """
+    cfg = config or _DEFAULT_HEURISTICS
+    ids, counts = _token_ids(texts)
+    ends = np.cumsum(counts)
+    token_flags = _TABLE.arrays()[1][ids]
+    hits, v = _hits(ids, lexicon)
+    del ids  # one slot per token: the passes below use the hits and the rarer flagged tokens
+    text = _text_of(ends, hits)
+    with np.errstate(all="ignore"):  # overflow gives inf and nan, as in Python
+        _emphasize(v, hits, text, token_flags, counts, ends, cfg)
+        _negate(v, hits, text, token_flags, ends - counts, cfg)
+        _weigh_but(v, hits, text, token_flags, ends, cfg)
+        return _scores(texts, v, text, counts, cfg)
+
+
+def _token_ids(texts) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the tokens of ``texts`` that clean to a word, in order, and
+    each text's count of them."""
+    if len(_TABLE) >= _TOKEN_TABLE_CAP:
+        _TABLE.clear()
+    counts = []
+
+    def split(text):  # one text's tokens at a time, counted
+        tokens = text.split()
+        counts.append(len(tokens))
+        return tokens
+
+    ids = np.fromiter(map(_TABLE.__getitem__, chain.from_iterable(map(split, texts))), np.intp)
+    counts = np.array(counts, np.intp)
+    dropped = np.flatnonzero(ids == 0)  # tokens that clean to nothing hold no position
+    if dropped.size:
+        counts -= np.bincount(_text_of(np.cumsum(counts), dropped), minlength=len(counts))
+        ids = ids[ids != 0]
+    return ids, counts
+
+
+def _text_of(ends: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The text holding each of ``positions``, the texts ending at ``ends``."""
+    return np.searchsorted(ends, positions, "right")
+
+
+def _hits(ids: np.ndarray, lexicon: SentimentLexicon) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``ids`` of the lexicon hits, and their valences.
+
+    Each distinct word of the block is looked up once. A valence that is not
+    0 (nan included) makes a hit; other tokens add nothing to a score.
+    """
+    word_ids = _TABLE.arrays()[0]
+    seen = np.zeros(len(word_ids), bool)
+    seen[ids] = True
+    seen_words = np.zeros(len(_TABLE.words), bool)
+    seen_words[word_ids[seen]] = True
+    valence = np.zeros(len(seen_words))
+    valence[seen_words] = np.fromiter(
+        map(lexicon.get, compress(_TABLE.words, seen_words.tolist()), repeat(0.0)), float)
+    valence = valence[word_ids]  # by token id
+    hits = np.flatnonzero((valence != 0)[ids])
+    return hits, valence[ids[hits]]
+
+
+def _emphasize(v, hits, text, token_flags, counts, ends, cfg: HeuristicConfig) -> None:
+    """Add the caps boost, then each degree modifier's, nearest first, to the valences ``v``."""
+    # caps emphasis only applies when the text is mixed-case (not shouting
+    # throughout): some token with a letter is not all caps. Fewer tokens
+    # lack that vote than hold it.
+    no_vote = _text_of(ends, np.flatnonzero((token_flags & _MIXED) == 0))
+    mixed_case = (counts > np.bincount(no_vote, minlength=len(counts)))[text]
+    rising = v > 0  # the sign of each hit's own valence: 1.0 if rising else -1.0
+    caps_boost = float(cfg.caps_boost)
+    shouted = np.flatnonzero(mixed_case & ((token_flags[hits] & _CAPS) != 0))
+    v[shouted] += np.where(rising[shouted], 1.0, -1.0) * caps_boost
+
+    increment = float(cfg.degree_increment)
+    modifiers = np.flatnonzero(token_flags & (_BOOSTER | _DAMPENER))
+    if increment == 0.0 or not modifiers.size or not hits.size:
+        return
+    text_end = ends[_text_of(ends, modifiers)]
+    for dist, decay in enumerate(_DISTANCE_DECAY, start=1):
+        target = modifiers + dist  # a hit there, in the modifier's text, is modified
+        at = np.minimum(np.searchsorted(hits, target), len(hits) - 1)
+        found = (hits[at] == target) & (target < text_end)
+        at, modifier = at[found], token_flags[modifiers[found]]
+        scalar = np.where((modifier & _BOOSTER) != 0, increment, -increment) * decay
+        np.add(scalar, np.copysign(caps_boost * 0.25, scalar), out=scalar,
+               where=mixed_case[at] & ((modifier & _CAPS) != 0))
+        v[at] += np.where(rising[at], 1.0, -1.0) * scalar
+
+
+def _negate(v, hits, text, token_flags, starts, cfg: HeuristicConfig) -> None:
+    """Scale the valences ``v`` of the hits with a negation within the window before them."""
+    negations = np.flatnonzero(token_flags & _NEGATION)
+    if not negations.size or not hits.size:
+        return
+    nearest = np.searchsorted(negations, hits)  # then the nearest negation before each hit
+    negated = nearest > 0
+    nearest -= 1
+    nearest = negations[nearest]
+    # a window longer than the block reaches back to the text's start
+    reach = hits - min(cfg.negation_window, len(token_flags))
+    np.maximum(reach, starts[text], out=reach)
+    negated &= nearest >= reach
+    v[negated] *= float(cfg.negation_factor)
+
+
+def _weigh_but(v, hits, text, token_flags, ends, cfg: HeuristicConfig) -> None:
+    """Weigh the valences ``v`` of the hits before and after their text's first "but"."""
+    buts = np.flatnonzero(token_flags & _BUT)
+    if not buts.size or not hits.size:
+        return
+    but_text = _text_of(ends, buts)
+    first = np.ones(len(buts), bool)
+    first[1:] = but_text[1:] != but_text[:-1]
+    pivot = np.full(len(ends), -1)
+    pivot[but_text[first]] = buts[first]
+    pivot = pivot[text]
+    np.multiply(v, float(cfg.but_weight_before), out=v, where=hits < pivot)
+    np.multiply(v, float(cfg.but_weight_after), out=v, where=(pivot >= 0) & (hits > pivot))
+
+
+def _sums(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per row ``i`` below ``n``, the ``values`` at ``index == i`` added left
+    to right from 0.0: bincount's loop, as a running ``+=`` would do it."""
+    return np.bincount(index, values, n).astype(float, copy=False)  # int zeros when empty
+
+
+def _scores(texts, v, text, counts, cfg: HeuristicConfig) -> tuple:
+    """The four score columns from the hits' final valences ``v``."""
+    n = len(counts)
+    total = _sums(text, v, n)
+    emphasis = np.fromiter(map(_punctuation_emphasis, texts, repeat(cfg)), float, n)
+    up, down = total > 0, total < 0
+    np.add(total, emphasis, out=total, where=up)
+    np.subtract(total, emphasis, out=total, where=down)
+    compound = total / np.sqrt(total * total + float(cfg.alpha))
+    # max(-1.0, min(1.0, x)): nan clamps to 1.0
+    compound = np.where(compound < 1.0, compound, 1.0)
+    compound = np.where(compound > -1.0, compound, -1.0)
+
+    # proportions: each hit contributes mass |v| + 1 to its pole, other
+    # tokens mass 1; punctuation emphasis is credited to the dominant pole
+    positive, negative = v > 0, v < 0
+    pos_mass = _sums(text[positive], v[positive] + 1.0, n)
+    neg_mass = _sums(text[negative], -v[negative] + 1.0, n)
+    neu_mass = (counts - np.bincount(text[positive | negative], minlength=n)).astype(float)
+    np.add(pos_mass, emphasis, out=pos_mass, where=total > 0)
+    np.add(neg_mass, emphasis, out=neg_mass, where=total < 0)
+    denom = pos_mass + neg_mass + neu_mass
+    empty = denom == 0
+    for mass in (pos_mass, neu_mass, neg_mass):
+        mass /= denom
+        mass[empty] = 0.0
+    return pos_mass, neu_mass, neg_mass, compound
 
 
 def analyze(text: str, lexicon: SentimentLexicon, config: HeuristicConfig | None = None) -> SentimentScores:
-    """Score one text; unknown tokens are neutral, empty text scores all zeros."""
-    cfg = config or _DEFAULT_HEURISTICS
-    known = _TOKENS.get
-    tokens = [known(t) or _token(t) for t in text.split()]
-    lowered = list(map(_WORD, tokens))
-    if not all(lowered):
-        tokens = [t for t in tokens if t is not _EMPTY]
-        if not tokens:
-            return SentimentScores(0.0, 0.0, 0.0, 0.0)
-        lowered = list(map(_WORD, tokens))
-
-    # Only lexicon hits (tokens with a nonzero valence) carry valence; every
-    # other token scores 0.0 and adds nothing to the sums below, so the
-    # heuristics run at the hits alone.
-    scored = list(map(lexicon.get, lowered))
-    hits = list(compress(count(), scored))
-    # caps emphasis only applies when the text is mixed-case (not shouting
-    # throughout): some token with a letter is not all caps
-    mixed_case = bool(hits) and any(map(_MIXED, tokens))
-
-    caps_boost, increment, window = cfg.caps_boost, cfg.degree_increment, cfg.negation_window
-    valences = []
-    for i in hits:
-        v = scored[i]
-        sign = 1.0 if v > 0 else -1.0
-        if mixed_case and tokens[i][1]:
-            v += sign * caps_boost
-        # degree modifiers in the few tokens before this one
-        for dist in range(1, i + 1 if i < 3 else 4):
-            booster = _DEGREE.get(lowered[i - dist])
-            if booster is None:
-                continue
-            scalar = increment if booster else -increment
-            if scalar != 0.0:
-                scalar *= _DISTANCE_DECAY[dist - 1]
-                if mixed_case and tokens[i - dist][1]:
-                    scalar += math.copysign(caps_boost * 0.25, scalar)
-                v += sign * scalar
-        # negation within the window before this token
-        if not _NEGATIONS.isdisjoint(lowered[i - window if i > window else 0:i]):
-            v *= cfg.negation_factor
-        valences.append(v)
-
-    if "but" in lowered:
-        pivot = lowered.index("but")
-        valences = [
-            v * (cfg.but_weight_before if i < pivot else cfg.but_weight_after if i > pivot else 1.0)
-            for i, v in zip(hits, valences)
-        ]
-
-    total = sum(valences)
-    emphasis = _punctuation_emphasis(text, cfg)
-    if total > 0:
-        total += emphasis
-    elif total < 0:
-        total -= emphasis
-
-    compound = normalize_valence_sum(total, cfg.alpha)
-
-    # proportions: each token contributes mass |v| + 1 to its pole, neutral
-    # tokens mass 1; punctuation emphasis is credited to the dominant pole.
-    # sum() adds up each pole: since Python 3.12 it compensates for rounding,
-    # which a running += would not
-    pos, neg, zeros = [], [], 0
-    for v in valences:
-        if v > 0:
-            pos.append(v + 1.0)
-        elif v < 0:
-            neg.append(-v + 1.0)
-        else:
-            zeros += 1
-    pos_mass = sum(pos)
-    neg_mass = sum(neg)
-    neu_mass = float(len(tokens) - len(valences) + zeros)
-    if total > 0:
-        pos_mass += emphasis
-    elif total < 0:
-        neg_mass += emphasis
-    denom = pos_mass + neg_mass + neu_mass
-    if denom == 0:
-        return SentimentScores(0.0, 0.0, 0.0, compound)
-    return SentimentScores(pos_mass / denom, neu_mass / denom, neg_mass / denom, compound)
+    """Score one text: ``analyze_many`` of a block of one."""
+    return SentimentScores(*(float(column[0]) for column in analyze_many([text], lexicon, config)))

@@ -10,8 +10,16 @@ from aspectcast.sentiment import (
     analyze,
     default_lexicon,
     load_lexicon,
+    normalize_valence_sum,
 )
-from test_text_equivalence import LEXICON, ODD_LEXICON, bits, bundled_reviews, reference_analyze
+from test_text_equivalence import (
+    LEXICON,
+    ODD_LEXICON,
+    bits,
+    block_bits,
+    bundled_reviews,
+    reference_analyze,
+)
 
 LEX = {"good": 1.9, "great": 3.1, "bad": -2.5, "terrible": -2.1}
 CFG = HeuristicConfig()
@@ -126,6 +134,14 @@ class TestAnalyze:
         assert analyze("good but terrible", LEX, CFG).compound < 0
         assert analyze("terrible but good", LEX, CFG).compound > 0
 
+    def test_valences_add_left_to_right(self):
+        # (0.1 + 0.2) + -0.3 is 5.55e-17; a compensated sum, as sum() of
+        # floats is since Python 3.12, gives 2.78e-17
+        total = (0.1 + 0.2) + -0.3
+        assert total == 5.551115123125783e-17
+        s = analyze("a b c", {"a": 0.1, "b": 0.2, "c": -0.3}, CFG)
+        assert s.compound == normalize_valence_sum(total)
+
     def test_unknown_tokens_neutral(self):
         s = analyze("frobnicate the widget", LEX, CFG)
         assert s.compound == 0
@@ -183,8 +199,8 @@ class TestProperties:
 @pytest.fixture
 def table(monkeypatch):
     """An empty token table for one test."""
-    fresh = {}
-    monkeypatch.setattr(sentiment, "_TOKENS", fresh)
+    fresh = sentiment._TokenTable()
+    monkeypatch.setattr(sentiment, "_TABLE", fresh)
     return fresh
 
 
@@ -208,27 +224,35 @@ class TestTokenTable:
 
     def test_lowered_words_are_shared(self, table):
         analyze("Good good. GOOD!", LEX)
-        assert table["Good"][0] is table["good."][0] is table["GOOD!"][0] == "good"
-        assert table["GOOD!"][1] and not table["Good"][1]
+        word_ids, flags = table.arrays()
+        assert word_ids[table["Good"]] == word_ids[table["good."]] == word_ids[table["GOOD!"]]
+        assert list(table.words) == ["good"]
+        assert flags[table["GOOD!"]] & sentiment._CAPS and not flags[table["Good"]] & sentiment._CAPS
 
     def test_stays_within_its_cap(self, table):
         cap = sentiment._TOKEN_TABLE_CAP
         words = [f"w{i}" for i in range(cap + 500)]
         lexicon = dict(LEXICON, **{w: (i % 9 - 4) / 2 for i, w in enumerate(words) if i % 3 == 0})
+        texts = ["very " + " ".join(words[start:start + 40]) + " but NOT bad!"
+                 for start in range(0, len(words), 40)]
         sizes = []
-        for start in range(0, len(words), 40):
-            text = "very " + " ".join(words[start:start + 40]) + " but NOT bad!"
-            assert bits(analyze(text, lexicon)) == bits(reference_analyze(text, lexicon)), text
+        for start in range(0, len(texts), 3):
+            block = texts[start:start + 3]
+            assert block_bits(block, lexicon) == [bits(reference_analyze(t, lexicon)) for t in block]
+            # a block's own new tokens stay until the next block
+            assert len(table) < cap + sum(len(text.split()) for text in block)
             sizes.append(len(table))
-        assert max(sizes) <= cap
+        assert max(sizes) < cap + 3 * 44
         assert any(after < before for before, after in zip(sizes, sizes[1:]))  # it was cleared
+        assert len(table.words) <= len(table) == len(table.arrays()[0]) - 1 == len(table.flags) - 1
 
     def test_tokens_that_clean_to_nothing_hold_no_word_position(self, table):
         cfg = HeuristicConfig(negation_window=1)
         for _ in range(3):  # a cold table, then a warm one
             for text in ["not !!! ' -- good", "very -- ' !!! good", "!!! ' --", "bad ' but -- good", "' -- GOOD"]:
                 assert bits(analyze(text, LEX, cfg)) == bits(reference_analyze(text, LEX, cfg)), text
-        assert table["!!!"] is table["'"] is table["--"] is sentiment._EMPTY
+        assert table["!!!"] == table["'"] == table["--"] == 0
+        assert set(table.words) == {"not", "good", "very", "bad", "but"}
         # "not" is the word just before "good", inside a window of one
         assert analyze("not !!! ' -- good", LEX, cfg).compound < 0
         assert analyze("!!! ' --", LEX, cfg) == analyze("", LEX, cfg)

@@ -24,7 +24,7 @@ from aspectcast.aspects import default_vocabulary, match_aspects
 from aspectcast.corpus import CorpusError, Quarter, Review, iter_reviews, parse_reviews
 from aspectcast.features import perception
 from aspectcast.pipeline import PipelineConfig, StageError, build_features, build_perceptions, load_inputs
-from aspectcast.sentiment import HeuristicConfig, analyze, default_lexicon
+from aspectcast.sentiment import HeuristicConfig, analyze, analyze_many, default_lexicon
 
 
 # --- frozen references -------------------------------------------------------
@@ -295,12 +295,12 @@ class TestPerceptionEquivalence:
         assert (len(reviews), len(matched)) == (226, 223)
         scored = []
 
-        def counting(text, lexicon, config=None):
-            scored.append(text)
-            return analyze(text, lexicon, config)
+        def counting(texts, lexicon, config=None):
+            scored.extend(texts)
+            return analyze_many(texts, lexicon, config)
 
-        # build_perceptions looks analyze up on the sentiment module
-        monkeypatch.setattr(sentiment, "analyze", counting)
+        # build_perceptions looks analyze_many up on the sentiment module
+        monkeypatch.setattr(sentiment, "analyze_many", counting)
         unread, *inputs = pipeline.load_inputs(pipeline.PipelineConfig.defaults())
         unread.close()
         growth, perceptions = pipeline.build_features(reviews, *inputs)

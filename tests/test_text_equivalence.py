@@ -1,4 +1,4 @@
-"""Differential tests: the indexed phrase matcher and the hit-only sentiment loop
+"""Differential tests: the indexed phrase matcher and the block sentiment scorer
 against frozen copies of the straightforward implementations they replaced.
 
 Both must agree bit for bit, signed zeros included, because report bytes are
@@ -8,12 +8,14 @@ pinned downstream.
 import json
 import math
 import re
+import warnings
 from dataclasses import astuple
 from importlib import resources
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from aspectcast import sentiment
 from aspectcast.aspects import (
     ASPECT_SET_16,
     AspectMatch,
@@ -28,10 +30,12 @@ from aspectcast.sentiment import (
     _DAMPENERS,
     _DISTANCE_DECAY,
     _NEGATIONS,
+    _TOKEN_TABLE_CAP,
     HeuristicConfig,
     SentimentScores,
     _punctuation_emphasis,
     analyze,
+    analyze_many,
     default_lexicon,
     normalize_valence_sum,
 )
@@ -92,7 +96,11 @@ def reference_analyze(text, lexicon, config=None):
             for i, v in enumerate(valences)
         ]
 
-    total = sum(valences)
+    # every sum is added left to right, as a running += does it; since Python
+    # 3.12, sum() of floats compensates for rounding
+    total = 0.0
+    for v in valences:
+        total += v
     emphasis = _punctuation_emphasis(text, cfg)
     if total > 0:
         total += emphasis
@@ -100,8 +108,12 @@ def reference_analyze(text, lexicon, config=None):
         total -= emphasis
     compound = normalize_valence_sum(total, cfg.alpha)
 
-    pos_mass = sum(v + 1.0 for v in valences if v > 0)
-    neg_mass = sum(-v + 1.0 for v in valences if v < 0)
+    pos_mass = neg_mass = 0.0
+    for v in valences:
+        if v > 0:
+            pos_mass += v + 1.0
+        elif v < 0:
+            neg_mass += -v + 1.0
     neu_mass = float(sum(1 for v in valences if v == 0))
     if total > 0:
         pos_mass += emphasis
@@ -133,6 +145,15 @@ def bits(scores):
     return tuple(repr(x) for x in astuple(scores))
 
 
+def block_bits(texts, lexicon, cfg=None):
+    """``bits`` of each text's scores, all scored in one ``analyze_many`` block."""
+    return [tuple(map(repr, row)) for row in zip(*(c.tolist() for c in analyze_many(texts, lexicon, cfg)))]
+
+
+def assert_same_block_scores(texts, lexicon, cfg=None):
+    assert block_bits(texts, lexicon, cfg) == [bits(reference_analyze(t, lexicon, cfg)) for t in texts], texts
+
+
 def assert_same_scores(text, lexicon, cfg=None):
     assert bits(analyze(text, lexicon, cfg)) == bits(reference_analyze(text, lexicon, cfg)), text
 
@@ -153,7 +174,7 @@ LEXICON = default_lexicon()
 # (which are not hits) and a valence a dampener cancels to exactly 0.0, which a
 # negation then turns into -0.0.
 ODD_LEXICON = dict(LEXICON, **{
-    "straße": 1.5, "ⓐ": 2.0, "ⅻ": 1.1, "naïve": -1.2, "404": -2.5, "3g": 0.7,
+    "straße": 1.5, "é": 2.0, "ⅻ": 1.1, "naïve": -1.2, "404": -2.5, "3g": 0.7,
     "meh": 0.0, "blah": -0.0, "meek": 0.293,
 })
 
@@ -162,7 +183,7 @@ TOKENS = sorted(
      "meh", "blah", "the", "cloud", "team", "support", "but", "but", "BUT", "But",
      "don't", "isn't", "can't", "team's", "'quoted'", "!!!", "?", "...", "'", "--", "(", ")",
      "42", "404", "3g", "2016Q4", "ß", "straße", "STRASSE", "Ⓐ", "ⓐ", "Ⅻ", "naïve", "NAÏVE",
-     "éclair", "_", "a_b"]
+     "é", "É", "éclair", "_", "a_b"]
     + sorted(_BOOSTERS) + sorted(_DAMPENERS) + sorted(_NEGATIONS)
 )
 CASES = st.sampled_from(["lower", "upper", "title", "keep"])
@@ -248,6 +269,61 @@ class TestAnalyzeEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_unicode(self, text):
         assert_same_scores(text, ODD_LEXICON)
+
+
+class TestBlockEquivalence:
+    """A block scores each of its texts as the text alone would score."""
+
+    @given(st.lists(review_texts(), max_size=12), CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_blocks(self, texts, cfg):
+        assert_same_block_scores(texts, ODD_LEXICON, cfg)
+
+    @pytest.mark.parametrize("texts", [
+        ["it was not", "good service"],   # a negation ends one text, a hit opens the next
+        ["never", "GOOD"],
+        ["support was very", "good"],     # a booster ends one text
+        ["slightly", "bad"],
+        ["good but bad", "great and bad", "bad then good"],  # "but" in one text only
+        ["good and bad", "BUT good but bad", "bad good"],
+        ["GOOD SERVICE", "good SERVICE", "VERY GOOD", "Good Service"],  # all caps next to mixed case
+        ["good", "", "!!! ??", "   ", "' -- ...", "bad!"],  # empty and all-punctuation texts
+        ["the cloud team", "support", "", "42 3g"],  # no hit anywhere
+        ["é É éclair", "É!", "STRAßE naïve ⅻ"],
+        [],
+    ])
+    def test_examples(self, texts):
+        for cfg in (None, HeuristicConfig(negation_window=5, degree_increment=1.0, caps_boost=2.0)):
+            assert_same_block_scores(texts, ODD_LEXICON, cfg)
+
+    def test_text_with_more_distinct_tokens_than_the_table_cap(self):
+        words = [f"x{i}" for i in range(_TOKEN_TABLE_CAP + 100)]
+        lexicon = dict(LEXICON, **{w: (i % 9 - 4) / 2 for i, w in enumerate(words) if i % 7 == 0})
+        assert_same_block_scores(["not good", " ".join(words) + " but good", "VERY bad"], lexicon)
+
+    def test_blocks_that_fill_and_clear_the_table(self):
+        words = [f"y{i}" for i in range(2 * _TOKEN_TABLE_CAP)]
+        lexicon = dict(LEXICON, **{w: (i % 9 - 4) / 2 for i, w in enumerate(words) if i % 5 == 0})
+        texts = ["not " + " ".join(words[i:i + 300]) + " but GOOD" for i in range(0, len(words), 300)]
+        sizes = []
+        for start in range(0, len(texts), 8):
+            assert_same_block_scores(texts[start:start + 8], lexicon)
+            sizes.append(len(sentiment._TABLE))
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))  # it was cleared
+
+    def test_negation_window_longer_than_an_index(self):
+        cfg = HeuristicConfig(negation_window=10**30)
+        assert_same_block_scores(["not " + "x " * 40 + "good", "good", "never bad at all"], LEXICON, cfg)
+
+    def test_overflow_gives_python_float_results_silently(self):
+        cfg = HeuristicConfig(caps_boost=1e308)
+        texts = ["GOOD GREAT service", "VERY GOOD service!!", "TERRIBLE BAD service", "GOOD but BAD service",
+                 "not GOOD GREAT service??"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_block_scores(texts, LEXICON, cfg)
+        assert any(math.isinf(x) or math.isnan(x) for s in map(reference_analyze, texts, [LEXICON] * 5,
+                                                              [cfg] * 5) for x in astuple(s))
 
 
 # --- aspect matching ---------------------------------------------------------
