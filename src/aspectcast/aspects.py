@@ -6,8 +6,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import compress, count
+from itertools import compress, repeat
 
+import numpy as np
+
+from . import tokens as tokens_mod
 from .corpus import Review
 
 __all__ = [
@@ -19,6 +22,7 @@ __all__ = [
     "load_vocabulary",
     "default_vocabulary",
     "match_aspects",
+    "match_block",
     "ASPECT_SET_13",
     "ASPECT_SET_16",
 ]
@@ -86,7 +90,7 @@ class AspectVocabulary:
     """Per-aspect phrase sets, lowercase and single-space normalized.
 
     ``phrases`` must not change once the vocabulary has matched a review:
-    the phrase index is built from it on first use and kept.
+    the phrase table is built from it on first use and kept.
     """
 
     phrases: dict  # aspect-id -> frozenset of phrases
@@ -95,21 +99,43 @@ class AspectVocabulary:
         return self.phrases.get(aspect_id, frozenset())
 
     @cached_property
-    def phrase_index(self) -> dict:
-        """First phrase token -> [(remaining tokens, phrase, aspect position in ASPECT_SET_16)].
+    def phrase_table(self) -> "_PhraseTable":
+        return _PhraseTable(self)
 
-        Tokens are the UTF-8 bytes ``_tokenize`` gives a review, so a phrase
-        token equals a review token exactly when their strings are equal.
-        Phrases split on single spaces, so a phrase with a doubled, leading or
-        trailing space gets an empty token, which no review token equals, and
-        never matches.
-        """
-        index: dict = {}
-        for position, aspect_id in enumerate(ASPECT_SET_16):
-            for phrase in self.for_aspect(aspect_id):
-                head, *rest = phrase.encode("utf-8", "surrogatepass").split(b" ")
-                index.setdefault(head, []).append((rest, phrase, position))
-        return index
+
+class _PhraseTable:
+    """A vocabulary's phrases, indexed for matching a block of token ids.
+
+    ``phrases[i]`` is the i-th (phrase, aspect position in ASPECT_SET_16)
+    pair; a phrase of two aspects is two pairs. Phrase tokens are UTF-8
+    bytes split on single spaces, so a phrase token equals an atom exactly
+    when their strings are equal: a phrase with a doubled, leading or
+    trailing space gets an empty token, which no atom equals, and never
+    matches. ``tokens`` maps each phrase token to its id; ``len(tokens)``
+    stands for an atom that is no phrase token. ``body[i]`` holds phrase
+    ``i``'s token ids, -1 past its ``lengths[i]``; the phrases a token id
+    heads are ``headed[head_starts[t]:][:head_counts[t]]``. ``empty`` holds
+    the empty phrase's indices: it occurs in exactly the texts without atoms.
+    """
+
+    def __init__(self, vocab: AspectVocabulary):
+        self.phrases = [(phrase, position) for position, aspect_id in enumerate(ASPECT_SET_16)
+                        for phrase in sorted(vocab.for_aspect(aspect_id))]
+        split = [phrase.encode("utf-8", "surrogatepass").split(b" ") for phrase, _ in self.phrases]
+        self.tokens: dict = {}
+        for phrase_tokens in split:
+            for token in phrase_tokens:
+                self.tokens.setdefault(token, len(self.tokens))
+        self.aspect = np.array([position for _, position in self.phrases], np.intp)
+        self.lengths = np.array(list(map(len, split)), np.intp)
+        self.body = np.full((len(split), max(self.lengths, default=1)), -1, np.intp)
+        for row, phrase_tokens in zip(self.body, split):
+            row[:len(phrase_tokens)] = [self.tokens[token] for token in phrase_tokens]
+        heads = self.body[:, 0]
+        self.headed = np.argsort(heads, kind="stable")
+        self.head_counts = np.bincount(heads, minlength=len(self.tokens) + 1)
+        self.head_starts = np.cumsum(self.head_counts) - self.head_counts
+        self.empty = np.array([i for i, (phrase, _) in enumerate(self.phrases) if not phrase], np.intp)
 
 
 @dataclass(frozen=True)
@@ -147,35 +173,108 @@ def default_vocabulary() -> AspectVocabulary:
     return load_vocabulary(data)
 
 
-# every byte but a-z and 0-9 becomes a space; the UTF-8 bytes of a non-ASCII
-# character are all >= 0x80, so the runs left are the [a-z0-9]+ runs of the text
-_SEPARATE = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
+def match_block(ids, counts, vocab: AspectVocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """The phrase hits of a block of texts, given as ``tokens.token_ids`` of
+    the texts: a (text, phrase) index pair per hit, the phrase indexing
+    ``vocab.phrase_table.phrases``.
+
+    A k-token phrase matches k consecutive atoms of one text; it is checked
+    only where an atom equal to its first token stands.
+    """
+    table = vocab.phrase_table
+    token, place, text_ends = _phrase_atoms(ids, counts, table)
+    heads = np.flatnonzero(table.head_counts[token])
+    n = table.head_counts[token[heads]]
+    phrase = table.headed[_gather(table.head_starts[token[heads]], n)]
+    head = np.repeat(heads, n)
+    del heads, n
+    # a phrase's next atoms are the next phrase-token atoms of the block
+    width = table.body.shape[1]
+    place, token = (np.concatenate((a, np.full(width, -1))) for a in (place, token))
+    for offset in range(1, width):
+        want = table.body[phrase, offset]
+        after = head + offset
+        found = (want < 0) | ((place[after] == place[head] + offset) & (token[after] == want))
+        head, phrase = head[found], phrase[found]
+    start = place[head]
+    text = tokens_mod.text_of(text_ends, start)
+    found = start + table.lengths[phrase] <= text_ends[text]  # never across a text's end
+    text, phrase = text[found], phrase[found]
+    if table.empty.size:
+        bare = np.flatnonzero(np.diff(text_ends, prepend=0) == 0)
+        text = np.concatenate((text, np.repeat(bare, len(table.empty))))
+        phrase = np.concatenate((phrase, np.tile(table.empty, len(bare))))
+    return text, phrase
 
 
-def _tokenize(text: str) -> list[bytes]:
-    """The ``[a-z0-9]+`` runs of the lowered ``text``, as ASCII bytes."""
-    # surrogatepass: a lone surrogate (a JSON "\ud800" escape) is not an error
-    return text.lower().encode("utf-8", "surrogatepass").translate(_SEPARATE).split()
+def _phrase_atoms(ids, counts, table: _PhraseTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atoms of a block that are phrase tokens: their phrase token ids
+    and their places among the block's atoms, in order; and the end of each
+    text's atoms.
+
+    Each distinct atom of the block is looked up once. The dels keep a
+    block's peak memory down.
+    """
+    tokens = tokens_mod._TABLE
+    starts, atom_counts, atom_ids = tokens.atom_arrays()
+    none = len(table.tokens)
+    seen = np.zeros(len(atom_counts), bool)
+    seen[ids] = True
+    distinct = np.flatnonzero(seen)  # the block's distinct tokens, and their atoms
+    atoms = atom_ids[_gather(starts[distinct], atom_counts[distinct])]
+    seen = np.zeros(len(tokens.atoms), bool)
+    seen[atoms] = True
+    phrase_token = np.full(len(seen), none)
+    phrase_token[seen] = np.fromiter(
+        map(table.tokens.get, compress(tokens.atoms, seen.tolist()), repeat(none)), np.intp)
+    holds = np.zeros(len(atom_counts), bool)  # token ids with an atom that is a phrase token
+    holds[np.repeat(distinct, atom_counts[distinct])[phrase_token[atoms] != none]] = True
+
+    atom_end = atom_counts[ids]
+    np.cumsum(atom_end, out=atom_end)  # the block's atoms up to each token's end
+    token_end = np.cumsum(counts)
+    text_ends = np.zeros(len(counts), np.intp)
+    text_ends[token_end > 0] = atom_end[token_end[token_end > 0] - 1]
+    at = np.flatnonzero(holds[ids])
+    held, first = ids[at], atom_end[at]
+    del atom_end, at
+    n = atom_counts[held]
+    first -= n
+    token = phrase_token[atom_ids[_gather(starts[held], n)]]
+    del held
+    place = _gather(first, n)
+    del first, n
+    kept = token != none
+    return token[kept], place[kept], text_ends
+
+
+def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i], ..., starts[i] + counts[i] - 1`` for each ``i``, end to end."""
+    offsets = np.cumsum(counts)
+    offsets -= counts
+    np.subtract(starts, offsets, out=offsets)
+    index = np.repeat(offsets, counts)
+    del offsets
+    index += np.arange(len(index))
+    return index
+
+
+def _aspect_matches(review_id: str, phrases, vocab: AspectVocabulary) -> list[AspectMatch]:
+    """One text's ``AspectMatch`` list from the indices of its phrase hits."""
+    hits: dict = {}
+    for i in phrases.tolist():
+        phrase, position = vocab.phrase_table.phrases[i]
+        hits.setdefault(position, set()).add(phrase)
+    return [AspectMatch(review_id, ASPECT_SET_16[position], frozenset(hits[position]))
+            for position in sorted(hits)]
 
 
 def match_aspects(review: Review, vocab: AspectVocabulary) -> list[AspectMatch]:
-    """Aspects whose vocabulary phrases occur in the review on token boundaries.
+    """Aspects whose vocabulary phrases occur in the review on token boundaries:
+    ``match_block`` of a block of one.
 
-    A k-token phrase matches k consecutive review tokens; a review may match
+    The review's tokens are the ``[a-z0-9]+`` runs of its lowered text; a
+    k-token phrase matches k consecutive tokens, and a review may match
     several aspects or none.
     """
-    index = vocab.phrase_index
-    # The empty phrase occurs in exactly the reviews without tokens; a lone
-    # empty token lets the loop find it there.
-    tokens = _tokenize(review.text) or [b""]
-    hits: dict = {}
-    # only the tokens that start some phrase reach the loop body
-    for start in compress(count(), map(index.get, tokens)):
-        after = start + 1
-        for rest, phrase, position in index[tokens[start]]:
-            if not rest or tokens[after:after + len(rest)] == rest:
-                hits.setdefault(position, set()).add(phrase)
-    return [
-        AspectMatch(review.id, ASPECT_SET_16[position], frozenset(hits[position]))
-        for position in sorted(hits)
-    ]
+    return _aspect_matches(review.id, match_block(*tokens_mod.token_ids([review.text]), vocab)[1], vocab)

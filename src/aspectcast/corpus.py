@@ -119,17 +119,19 @@ def iter_reviews(stream, format: str = "jsonl") -> Iterator[Review]:
 
     JSONL lines carry ``id``/``quarter``/``text`` and optional ``source``, one
     record per line ending in ``\\n``, ``\\r\\n`` or ``\\r``; CSV needs an
-    ``id,quarter,text`` header. A record is decoded, parsed and yielded before
-    the next one is read, so neither the file's text nor its reviews are ever
-    held at once. A bad record raises CorpusError carrying its 1-based line
+    ``id,quarter,text`` header. A UTF-8 byte-order mark that opens the stream
+    is dropped; one anywhere else is a character. A record is decoded,
+    parsed and yielded before the next one is read, so neither the file's
+    text nor its reviews are ever held at once. A bad record raises CorpusError carrying its 1-based line
     number when the iteration reaches it; the reviews before it have been
     yielded. ``stream`` is left open.
     """
     if format not in ("jsonl", "csv"):
         raise CorpusError(f"unknown review format: {format!r}")
     # JSONL lines end in any of the three line ends, which the wrapper turns
-    # into "\n"; csv reads each line's own end
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline=None if format == "jsonl" else "")
+    # into "\n"; csv reads each line's own end. utf-8-sig drops a byte-order
+    # mark that opens the file, as spreadsheet "CSV UTF-8" exports write one.
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", newline=None if format == "jsonl" else "")
     try:
         yield from _jsonl_reviews(text) if format == "jsonl" else _csv_reviews(text)
     except UnicodeDecodeError as e:
@@ -187,7 +189,7 @@ def csv_errors(reader, error=CorpusError):
 
 def parse_revenue(data: bytes) -> RevenueSeries:
     """Parse a ``quarter,revenue`` CSV into a sorted, contiguous RevenueSeries."""
-    reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
+    reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig")))  # a leading byte-order mark is dropped
     rows: list[tuple[Quarter, float]] = []
     with csv_errors(reader.reader):
         if reader.fieldnames is None or not {"quarter", "revenue"} <= set(reader.fieldnames):

@@ -7,13 +7,16 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, replace
 from functools import partial
 from importlib import resources
-from itertools import islice
+from itertools import compress, islice
 from pathlib import Path
+
+import numpy as np
 
 from . import aspects as aspects_mod
 from . import corpus as corpus_mod
 from . import features as features_mod
 from . import sentiment as sentiment_mod
+from . import tokens as tokens_mod
 from .evaluation import EvalReport, backtest
 from .features import SPLIT_RATIO, FeatureMatrix, GrowthSeries
 from .models import SPECS, ForecasterSpec
@@ -227,28 +230,40 @@ def score_reviews(reviews, lexicon, heuristics):
 def build_perceptions(reviews, vocab, lexicon, heuristics):
     """Per-(aspect, quarter) perception records over the matched reviews.
 
-    A review is scored only when it matches an aspect, because no other
-    review reaches a perception.
+    A block's texts are split and looked up once, for matching and scoring
+    both, and a review is scored only when it matches an aspect, because no
+    other review reaches a perception.
     """
-    buckets: dict = {}
+    aspect_bits = 1 << vocab.phrase_table.aspect  # each phrase's aspect, as a bit
+    quarters: dict = {}  # quarter -> its id, in order of first appearance
+    kept = []  # per block, of the matched reviews: quarter ids, aspect bits, compounds
     for block in _blocks(reviews):
-        # of the matched reviews: the quarter and aspect ids, not the matches,
-        # whose phrase sets would outweigh the scoring's peak memory
-        texts, keys = [], []
-        for review in block:
-            if matches := aspects_mod.match_aspects(review, vocab):
-                texts.append(review.text)
-                keys.append((review.quarter, [m.aspect_id for m in matches]))
-        compounds = sentiment_mod.analyze_many(texts, lexicon, heuristics)[3]
-        for (quarter, aspect_ids), compound in zip(keys, compounds.tolist()):
-            for aspect_id in aspect_ids:
-                buckets.setdefault((aspect_id, quarter), []).append(compound)
-    return [
-        features_mod.perception(aspect_id, quarter, compounds)
-        for (aspect_id, quarter), compounds in sorted(
-            buckets.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        )
-    ]
+        texts = [r.text for r in block]
+        ids, counts = tokens_mod.token_ids(texts)
+        text, phrase = aspects_mod.match_block(ids, counts, vocab)
+        aspects = np.zeros(len(block), np.intp)
+        np.bitwise_or.at(aspects, text, aspect_bits[phrase])
+        matched = aspects != 0
+        rows = matched.tolist()
+        compounds = sentiment_mod.score_ids(ids[np.repeat(matched, counts)], counts[matched],
+                                            list(compress(texts, rows)), lexicon, heuristics)[3]
+        quarter = np.fromiter((quarters.setdefault(r.quarter, len(quarters)) for r in compress(block, rows)),
+                              np.intp, len(compounds))
+        kept.append((quarter, aspects[matched], compounds))
+    if not kept:
+        return []
+    quarter, aspects, compounds = (np.concatenate(column) for column in zip(*kept))
+    by_id = list(quarters)
+    rank = np.argsort([quarters[q] for q in sorted(quarters)])[quarter]  # each review's quarter, in order
+    records = []
+    for aspect_id in sorted(aspects_mod.ASPECT_SET_16):
+        rows = np.flatnonzero(aspects & (1 << aspects_mod.ASPECT_SET_16.index(aspect_id)))
+        rows = rows[np.argsort(rank[rows], kind="stable")]  # a cell's compounds stay in review order
+        for cell in np.split(rows, np.flatnonzero(np.diff(rank[rows])) + 1):
+            if cell.size:
+                records.append(features_mod.perception(aspect_id, by_id[quarter[cell[0]]],
+                                                       compounds[cell].tolist()))
+    return records
 
 
 def build_features(reviews, revenue, vocab, lexicon, heuristics):

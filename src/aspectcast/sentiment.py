@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
+from . import tokens as tokens_mod
 from .schema import check_fields, key, keys, validate
+from .tokens import _BOOSTER, _BUT, _CAPS, _DAMPENER, _MIXED, _NEGATION, _clean, text_of, token_ids
 
 __all__ = [
     "SentimentLexicon",
@@ -29,6 +30,7 @@ __all__ = [
     "normalize_valence_sum",
     "analyze",
     "analyze_many",
+    "score_ids",
 ]
 
 
@@ -108,44 +110,9 @@ def default_lexicon() -> SentimentLexicon:
     return load_lexicon(data)
 
 
-# Degree modifiers: boosters raise the following sentiment token's magnitude,
-# dampeners lower it. Sign is applied relative to the token's valence sign.
-_BOOSTERS = {
-    "very", "really", "extremely", "absolutely", "completely", "incredibly",
-    "totally", "highly", "hugely", "remarkably", "exceptionally", "especially",
-    "particularly", "truly", "unbelievably", "so",
-}
-_DAMPENERS = {
-    "slightly", "somewhat", "barely", "hardly", "marginally", "kinda",
-    "fairly", "moderately", "partly", "occasionally", "sort", "kind",
-}
-_NEGATIONS = {
-    "not", "no", "never", "none", "neither", "nor", "cannot", "cant",
-    "dont", "doesnt", "didnt", "isnt", "wasnt", "arent", "werent", "wont",
-    "wouldnt", "couldnt", "shouldnt", "aint", "without", "lack", "lacking",
-}
-# A token's flag bits: all caps; has a letter and is not all caps (a vote for
-# mixed case); and what its lowered word is
-_CAPS, _MIXED, _BOOSTER, _DAMPENER, _NEGATION, _BUT = (1 << i for i in range(6))
-_WORD_FLAGS = {
-    **dict.fromkeys(_NEGATIONS, _NEGATION),
-    **dict.fromkeys(_DAMPENERS, _DAMPENER),
-    **dict.fromkeys(_BOOSTERS, _BOOSTER),
-    "but": _BUT,
-}
 # Scaling of a degree modifier's effect by distance from the sentiment token.
 _DISTANCE_DECAY = (1.0, 0.95, 0.9)
 _DEFAULT_HEURISTICS = HeuristicConfig()  # checked once, not on every analyze call
-
-_WORD_CLEAN_RE = re.compile(r"^\W+|\W+$")
-# the ASCII characters \W matches: all but letters, digits and "_"
-_ASCII_NONWORD = "".join(c for c in map(chr, range(128)) if not (c.isalnum() or c == "_"))
-
-
-def _clean(token: str) -> str:
-    if token.isascii():
-        return token.strip(_ASCII_NONWORD).replace("'", "")
-    return _WORD_CLEAN_RE.sub("", token).replace("'", "")
 
 
 def _punctuation_emphasis(text: str, cfg: HeuristicConfig) -> float:
@@ -162,110 +129,36 @@ def normalize_valence_sum(total: float, alpha: float = HeuristicConfig.alpha) ->
     return max(-1.0, min(1.0, total / math.sqrt(total * total + alpha)))
 
 
-class _TokenTable(dict):
-    """Raw whitespace token -> token id, each token cleaned, case-folded and
-    flagged the first time a block holds it.
-
-    Id 0 stands for every token that cleans to nothing. For every other id,
-    ``word_ids`` holds the id of its lowered cleaned word, which "Good",
-    "good." and "GOOD!" share (``words`` maps each word to its id, in id
-    order), and ``flags`` its flag bits. The facts depend on the token's
-    characters alone, so one table serves every lexicon and config.
-    ``analyze_many`` clears it before a block once it holds
-    ``_TOKEN_TABLE_CAP`` tokens; a block's own new tokens stay until the
-    next block.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.clear()
-
-    def clear(self):
-        super().clear()
-        self.words: dict[str, int] = {}
-        self.word_ids = np.zeros(1, np.intp)
-        self.flags = np.zeros(1, np.uint8)
-        self._new_word_ids: list[int] = []  # of the ids not yet in the arrays
-        self._new_flags: list[int] = []
-
-    def __missing__(self, token: str) -> int:
-        # _clean leaves a token made only of letters and digits unchanged
-        word = token if token.isalnum() else _clean(token)
-        if not word:
-            self[token] = 0
-            return 0
-        upper = word.isupper()
-        alpha = any(c.isalpha() for c in word)
-        lowered = word.lower()
-        self._new_word_ids.append(self.words.setdefault(lowered, len(self.words)))
-        self._new_flags.append((_CAPS if upper and alpha else 0) | (_MIXED if alpha and not upper else 0)
-                               | _WORD_FLAGS.get(lowered, 0))
-        token_id = self[token] = len(self.flags) + len(self._new_flags) - 1
-        return token_id
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``word_ids`` and ``flags``, grown to hold every id given so far."""
-        if self._new_flags:
-            self.word_ids = np.concatenate((self.word_ids, self._new_word_ids))
-            self.flags = np.concatenate((self.flags, np.array(self._new_flags, np.uint8)))
-            self._new_word_ids.clear()
-            self._new_flags.clear()
-        return self.word_ids, self.flags
-
-
-_TABLE = _TokenTable()
-_TOKEN_TABLE_CAP = 2**14
-
-
 def analyze_many(texts, lexicon: SentimentLexicon, config: HeuristicConfig | None = None):
     """Score a sequence of texts: the (positive, neutral, negative, compound)
     columns, one float64 array each, row ``i`` scoring ``texts[i]``.
 
     Unknown tokens are neutral, and a text with no word scores all zeros.
+    Peak memory grows with the block, so score a long sequence a block at a
+    time.
+    """
+    return score_ids(*token_ids(texts), texts, lexicon, config)
+
+
+def score_ids(ids, counts, texts, lexicon: SentimentLexicon, config: HeuristicConfig | None = None):
+    """``analyze_many`` of ``texts`` whose ``tokens.token_ids`` are ``(ids, counts)``.
+
     Every heuristic is a NumPy pass over all lexicon hits of the block, doing
     for each hit and each text the float operations of scoring it alone, in
     the same order; a text's valences and pole masses are added hit by hit,
-    left to right. Peak memory grows with the block, so score a long
-    sequence a block at a time.
+    left to right.
     """
     cfg = config or _DEFAULT_HEURISTICS
-    ids, counts = _token_ids(texts)
     ends = np.cumsum(counts)
-    token_flags = _TABLE.arrays()[1][ids]
+    token_flags = tokens_mod._TABLE.arrays()[1][ids]
     hits, v = _hits(ids, lexicon)
     del ids  # one slot per token: the passes below use the hits and the rarer flagged tokens
-    text = _text_of(ends, hits)
+    text = text_of(ends, hits)
     with np.errstate(all="ignore"):  # overflow gives inf and nan, as in Python
         _emphasize(v, hits, text, token_flags, counts, ends, cfg)
         _negate(v, hits, text, token_flags, ends - counts, cfg)
         _weigh_but(v, hits, text, token_flags, ends, cfg)
         return _scores(texts, v, text, counts, cfg)
-
-
-def _token_ids(texts) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of the tokens of ``texts`` that clean to a word, in order, and
-    each text's count of them."""
-    if len(_TABLE) >= _TOKEN_TABLE_CAP:
-        _TABLE.clear()
-    counts = []
-
-    def split(text):  # one text's tokens at a time, counted
-        tokens = text.split()
-        counts.append(len(tokens))
-        return tokens
-
-    ids = np.fromiter(map(_TABLE.__getitem__, chain.from_iterable(map(split, texts))), np.intp)
-    counts = np.array(counts, np.intp)
-    dropped = np.flatnonzero(ids == 0)  # tokens that clean to nothing hold no position
-    if dropped.size:
-        counts -= np.bincount(_text_of(np.cumsum(counts), dropped), minlength=len(counts))
-        ids = ids[ids != 0]
-    return ids, counts
-
-
-def _text_of(ends: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """The text holding each of ``positions``, the texts ending at ``ends``."""
-    return np.searchsorted(ends, positions, "right")
 
 
 def _hits(ids: np.ndarray, lexicon: SentimentLexicon) -> tuple[np.ndarray, np.ndarray]:
@@ -274,14 +167,14 @@ def _hits(ids: np.ndarray, lexicon: SentimentLexicon) -> tuple[np.ndarray, np.nd
     Each distinct word of the block is looked up once. A valence that is not
     0 (nan included) makes a hit; other tokens add nothing to a score.
     """
-    word_ids = _TABLE.arrays()[0]
+    word_ids = tokens_mod._TABLE.arrays()[0]
     seen = np.zeros(len(word_ids), bool)
     seen[ids] = True
-    seen_words = np.zeros(len(_TABLE.words), bool)
+    seen_words = np.zeros(len(tokens_mod._TABLE.words), bool)
     seen_words[word_ids[seen]] = True
     valence = np.zeros(len(seen_words))
     valence[seen_words] = np.fromiter(
-        map(lexicon.get, compress(_TABLE.words, seen_words.tolist()), repeat(0.0)), float)
+        map(lexicon.get, compress(tokens_mod._TABLE.words, seen_words.tolist()), repeat(0.0)), float)
     valence = valence[word_ids]  # by token id
     hits = np.flatnonzero((valence != 0)[ids])
     return hits, valence[ids[hits]]
@@ -292,7 +185,7 @@ def _emphasize(v, hits, text, token_flags, counts, ends, cfg: HeuristicConfig) -
     # caps emphasis only applies when the text is mixed-case (not shouting
     # throughout): some token with a letter is not all caps. Fewer tokens
     # lack that vote than hold it.
-    no_vote = _text_of(ends, np.flatnonzero((token_flags & _MIXED) == 0))
+    no_vote = text_of(ends, np.flatnonzero((token_flags & _MIXED) == 0))
     mixed_case = (counts > np.bincount(no_vote, minlength=len(counts)))[text]
     rising = v > 0  # the sign of each hit's own valence: 1.0 if rising else -1.0
     caps_boost = float(cfg.caps_boost)
@@ -303,7 +196,7 @@ def _emphasize(v, hits, text, token_flags, counts, ends, cfg: HeuristicConfig) -
     modifiers = np.flatnonzero(token_flags & (_BOOSTER | _DAMPENER))
     if increment == 0.0 or not modifiers.size or not hits.size:
         return
-    text_end = ends[_text_of(ends, modifiers)]
+    text_end = ends[text_of(ends, modifiers)]
     for dist, decay in enumerate(_DISTANCE_DECAY, start=1):
         target = modifiers + dist  # a hit there, in the modifier's text, is modified
         at = np.minimum(np.searchsorted(hits, target), len(hits) - 1)
@@ -336,7 +229,7 @@ def _weigh_but(v, hits, text, token_flags, ends, cfg: HeuristicConfig) -> None:
     buts = np.flatnonzero(token_flags & _BUT)
     if not buts.size or not hits.size:
         return
-    but_text = _text_of(ends, buts)
+    but_text = text_of(ends, buts)
     first = np.ones(len(buts), bool)
     first[1:] = but_text[1:] != but_text[:-1]
     pivot = np.full(len(ends), -1)

@@ -103,6 +103,25 @@ class TestParseReviews:
         with pytest.raises(CorpusError, match="line 2"):
             parse_reviews(data, "jsonl")
 
+    def test_jsonl_with_byte_order_mark(self):
+        # a leading BOM is dropped; one inside a later record's text stays
+        data = ('\ufeff{"id":"r1","quarter":"2016Q4","text":"good"}\n'
+                '{"id":"r2","quarter":"2016Q4","text":"\ufeffok"}\n')
+        reviews = parse_reviews(data.encode(), "jsonl")
+        assert [(r.id, r.text) for r in reviews] == [("r1", "good"), ("r2", "\ufeffok")]
+
+    def test_jsonl_byte_order_mark_after_the_first_line_is_malformed(self):
+        data = ('{"id":"r1","quarter":"2016Q4","text":"good"}\n'
+                '\ufeff{"id":"r2","quarter":"2016Q4","text":"ok"}\n')
+        with pytest.raises(CorpusError, match="line 2: malformed JSON"):
+            parse_reviews(data.encode(), "jsonl")
+
+    def test_csv_with_byte_order_mark(self):
+        data = "\ufeffid,quarter,text\r\nr1,2016Q4,good\r\nr2,2017Q1,\ufeffbad\r\n".encode()
+        reviews = parse_reviews(data, "csv")
+        assert [(r.id, r.quarter, r.text) for r in reviews] == [
+            ("r1", Quarter(2016, 4), "good"), ("r2", Quarter(2017, 1), "\ufeffbad")]
+
     def test_roundtrip(self):
         data = (
             b'{"id":"r1","quarter":"2016Q4","text":"great support","source":"g2"}\n'
@@ -116,6 +135,10 @@ class TestParseRevenue:
     def test_basic(self):
         series = parse_revenue(b"quarter,revenue\n2015Q4,100\n2016Q1,110\n")
         assert len(series) == 2
+        assert series.quarters == (Quarter(2015, 4), Quarter(2016, 1)) and series.values == (100, 110)
+
+    def test_byte_order_mark(self):
+        series = parse_revenue("\ufeffquarter,revenue\r\n2015Q4,100\r\n2016Q1,110\r\n".encode())
         assert series.quarters == (Quarter(2015, 4), Quarter(2016, 1)) and series.values == (100, 110)
 
     def test_unsorted_input(self):

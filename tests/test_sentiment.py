@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import aspectcast.sentiment as sentiment
+import aspectcast.tokens as tokens
 from aspectcast.sentiment import (
     HeuristicConfig,
     LexiconError,
@@ -199,8 +199,8 @@ class TestProperties:
 @pytest.fixture
 def table(monkeypatch):
     """An empty token table for one test."""
-    fresh = sentiment._TokenTable()
-    monkeypatch.setattr(sentiment, "_TABLE", fresh)
+    fresh = tokens._TokenTable()
+    monkeypatch.setattr(tokens, "_TABLE", fresh)
     return fresh
 
 
@@ -227,10 +227,10 @@ class TestTokenTable:
         word_ids, flags = table.arrays()
         assert word_ids[table["Good"]] == word_ids[table["good."]] == word_ids[table["GOOD!"]]
         assert list(table.words) == ["good"]
-        assert flags[table["GOOD!"]] & sentiment._CAPS and not flags[table["Good"]] & sentiment._CAPS
+        assert flags[table["GOOD!"]] & tokens._CAPS and not flags[table["Good"]] & tokens._CAPS
 
     def test_stays_within_its_cap(self, table):
-        cap = sentiment._TOKEN_TABLE_CAP
+        cap = tokens._TOKEN_TABLE_CAP
         words = [f"w{i}" for i in range(cap + 500)]
         lexicon = dict(LEXICON, **{w: (i % 9 - 4) / 2 for i, w in enumerate(words) if i % 3 == 0})
         texts = ["very " + " ".join(words[start:start + 40]) + " but NOT bad!"

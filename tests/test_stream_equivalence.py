@@ -24,7 +24,7 @@ from aspectcast.aspects import default_vocabulary, match_aspects
 from aspectcast.corpus import CorpusError, Quarter, Review, iter_reviews, parse_reviews
 from aspectcast.features import perception
 from aspectcast.pipeline import PipelineConfig, StageError, build_features, build_perceptions, load_inputs
-from aspectcast.sentiment import HeuristicConfig, analyze, analyze_many, default_lexicon
+from aspectcast.sentiment import HeuristicConfig, analyze, default_lexicon, score_ids
 
 
 # --- frozen references -------------------------------------------------------
@@ -295,12 +295,12 @@ class TestPerceptionEquivalence:
         assert (len(reviews), len(matched)) == (226, 223)
         scored = []
 
-        def counting(texts, lexicon, config=None):
+        def counting(ids, counts, texts, lexicon, config=None):
             scored.extend(texts)
-            return analyze_many(texts, lexicon, config)
+            return score_ids(ids, counts, texts, lexicon, config)
 
-        # build_perceptions looks analyze_many up on the sentiment module
-        monkeypatch.setattr(sentiment, "analyze_many", counting)
+        # build_perceptions looks score_ids up on the sentiment module
+        monkeypatch.setattr(sentiment, "score_ids", counting)
         unread, *inputs = pipeline.load_inputs(pipeline.PipelineConfig.defaults())
         unread.close()
         growth, perceptions = pipeline.build_features(reviews, *inputs)

@@ -1,4 +1,4 @@
-"""Differential tests: the indexed phrase matcher and the block sentiment scorer
+"""Differential tests: the block phrase matcher and the block sentiment scorer
 against frozen copies of the straightforward implementations they replaced.
 
 Both must agree bit for bit, signed zeros included, because report bytes are
@@ -15,7 +15,7 @@ from importlib import resources
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aspectcast import sentiment
+from aspectcast import aspects, tokens
 from aspectcast.aspects import (
     ASPECT_SET_16,
     AspectMatch,
@@ -23,14 +23,12 @@ from aspectcast.aspects import (
     default_vocabulary,
     load_vocabulary,
     match_aspects,
+    match_block,
 )
 from aspectcast.corpus import Quarter, Review, parse_reviews
+from aspectcast.pipeline import build_perceptions
 from aspectcast.sentiment import (
-    _BOOSTERS,
-    _DAMPENERS,
     _DISTANCE_DECAY,
-    _NEGATIONS,
-    _TOKEN_TABLE_CAP,
     HeuristicConfig,
     SentimentScores,
     _punctuation_emphasis,
@@ -39,6 +37,7 @@ from aspectcast.sentiment import (
     default_lexicon,
     normalize_valence_sum,
 )
+from aspectcast.tokens import _BOOSTERS, _DAMPENERS, _NEGATIONS, _TOKEN_TABLE_CAP
 
 
 # --- frozen references -------------------------------------------------------
@@ -308,7 +307,7 @@ class TestBlockEquivalence:
         sizes = []
         for start in range(0, len(texts), 8):
             assert_same_block_scores(texts[start:start + 8], lexicon)
-            sizes.append(len(sentiment._TABLE))
+            sizes.append(len(tokens._TABLE))
         assert any(after < before for before, after in zip(sizes, sizes[1:]))  # it was cleared
 
     def test_negation_window_longer_than_an_index(self):
@@ -392,9 +391,9 @@ class TestMatchEquivalence:
 
     def test_index_built_on_first_match(self):
         vocab = load_vocabulary(b'{"cost_savings":["cheap"]}')
-        assert "phrase_index" not in vocab.__dict__
+        assert "phrase_table" not in vocab.__dict__
         match_aspects(review("cheap"), vocab)
-        assert "phrase_index" in vocab.__dict__
+        assert "phrase_table" in vocab.__dict__
 
     @given(st.lists(st.sampled_from(
         ["lock", "in", "locked", "vendor", "pay", "as", "you", "go", "support", "after", "sales",
@@ -422,3 +421,79 @@ class TestMatchEquivalence:
         assume(text.strip())  # a review's text is never blank
         for vocab in (VOCAB, RAW_VOCAB):
             assert_same_matches(text, vocab)
+
+
+def block_matches(texts, vocab):
+    """Each text's matches, all texts matched in one ``match_block`` call."""
+    text, phrase = match_block(*tokens.token_ids(texts), vocab)
+    return [aspects._aspect_matches("r1", phrase[text == i], vocab) for i in range(len(texts))]
+
+
+def assert_same_block_matches(texts, vocab):
+    assert block_matches(texts, vocab) == [reference_match(review(t), vocab) for t in texts], texts
+
+
+MATCH_WORDS = ["lock", "in", "locked", "vendor", "pay", "as", "you", "go", "support", "after", "sales",
+               "404", "24", "7", "24/7", "lock-in", "don't", "the", "-", "LOCK", "In", "cost", "costs",
+               "scale", "up", "!!!", "é", "data", "location", "faster", "access"]
+
+
+@st.composite
+def match_texts(draw):
+    words = draw(st.lists(st.sampled_from(MATCH_WORDS), min_size=1, max_size=10))
+    seps = draw(st.lists(SEPARATORS | st.sampled_from(["-", "/", ", "]), min_size=10, max_size=10))
+    return "".join(w + s for w, s in zip(words, seps))
+
+
+class TestBlockMatchEquivalence:
+    """A block matches each of its texts as the text alone would match."""
+
+    @given(st.lists(match_texts() | st.text(max_size=30).filter(str.strip), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_blocks(self, texts):
+        for vocab in (VOCAB, RAW_VOCAB, SPACED_VOCAB):
+            assert_same_block_matches(texts, vocab)
+
+    @pytest.mark.parametrize("texts", [
+        ["we feared vendor lock", "in the end", "pay as", "you go"],  # a phrase split over two texts
+        ["24/7 support", "lock-in", "don't lock-in", "99.9% at 24/7"],  # tokens of several atoms
+        ["lock in", "!!!", "é", "vendor lock", "!!! é ...", "cost"],  # atomless texts mid-block
+        ["!!!"],
+        ["lock", "lock in", "lock"],
+        ["lock zzz in", "pay as zzz you go", "vendor é lock"],  # an atom no phrase holds, mid-phrase
+        [],
+    ])
+    @pytest.mark.parametrize("vocab", [VOCAB, RAW_VOCAB, SPACED_VOCAB], ids=["default", "raw", "spaced"])
+    def test_examples(self, texts, vocab):
+        assert_same_block_matches(texts, vocab)
+
+    def test_empty_phrase_matches_only_atomless_texts(self):
+        text, phrase = match_block(*tokens.token_ids(["lock in", "!!!", "é", "cost", "' --"]), RAW_VOCAB)
+        empty = [i for i, (p, _) in enumerate(RAW_VOCAB.phrase_table.phrases) if p == ""]
+        assert sorted(text[phrase == empty[0]].tolist()) == [1, 2, 4]
+
+    def test_blocks_that_fill_and_clear_the_table(self):
+        words = [f"q{i}" for i in range(2 * _TOKEN_TABLE_CAP)]
+        texts = [" ".join(words[i:i + 300]) + " vendor lock in, pay as you go"
+                 for i in range(0, len(words), 300)]
+        sizes = []
+        for start in range(0, len(texts), 8):
+            for vocab in (VOCAB, RAW_VOCAB):
+                assert_same_block_matches(texts[start:start + 8], vocab)
+            sizes.append(len(tokens._TABLE))
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))  # it was cleared
+
+    def test_no_nonword_character_lowers_to_an_atom(self):
+        # the tokens scoring drops (all \W) hold no atom, so matching can drop them too
+        nonword = "".join(re.findall(r"\W", "".join(map(chr, range(0x110000)))))
+        assert tokens._atoms(nonword) == []
+
+    def test_build_perceptions_creates_no_aspect_match(self, monkeypatch):
+        reviews = bundled_reviews()
+        expected = build_perceptions(reviews, VOCAB, LEXICON, HeuristicConfig())
+
+        def forbidden(*args):
+            raise AssertionError("build_perceptions made an AspectMatch")
+
+        monkeypatch.setattr(aspects, "AspectMatch", forbidden)
+        assert repr(build_perceptions(reviews, VOCAB, LEXICON, HeuristicConfig())) == repr(expected)
