@@ -107,11 +107,11 @@ class _PhraseTable:
     """A vocabulary's phrases, indexed for matching a block of token ids.
 
     ``phrases[i]`` is the i-th (phrase, aspect position in ASPECT_SET_16)
-    pair; a phrase of two aspects is two pairs. Phrase tokens are UTF-8
-    bytes split on single spaces, so a phrase token equals an atom exactly
-    when their strings are equal: a phrase with a doubled, leading or
-    trailing space gets an empty token, which no atom equals, and never
-    matches. ``tokens`` maps each phrase token to its id; ``len(tokens)``
+    pair; a phrase of two aspects is two pairs. Phrase tokens are the phrase
+    split on single spaces, so a phrase token equals an atom exactly when
+    their strings are equal: a phrase with a doubled, leading or trailing
+    space gets an empty token, which no atom equals, and never matches.
+    ``tokens`` maps each phrase token to its id; ``len(tokens)``
     stands for an atom that is no phrase token. ``body[i]`` holds phrase
     ``i``'s token ids, -1 past its ``lengths[i]``; the phrases a token id
     heads are ``headed[head_starts[t]:][:head_counts[t]]``. ``empty`` holds
@@ -121,7 +121,7 @@ class _PhraseTable:
     def __init__(self, vocab: AspectVocabulary):
         self.phrases = [(phrase, position) for position, aspect_id in enumerate(ASPECT_SET_16)
                         for phrase in sorted(vocab.for_aspect(aspect_id))]
-        split = [phrase.encode("utf-8", "surrogatepass").split(b" ") for phrase, _ in self.phrases]
+        split = [phrase.split(" ") for phrase, _ in self.phrases]
         self.tokens: dict = {}
         for phrase_tokens in split:
             for token in phrase_tokens:
@@ -216,7 +216,7 @@ def _phrase_atoms(ids, counts, table: _PhraseTable) -> tuple[np.ndarray, np.ndar
     block's peak memory down.
     """
     tokens = tokens_mod._TABLE
-    starts, atom_counts, atom_ids = tokens.atom_arrays()
+    starts, atom_counts, atom_ids = tokens.atom_starts, tokens.atom_counts, tokens.atom_ids
     none = len(table.tokens)
     seen = np.zeros(len(atom_counts), bool)
     seen[ids] = True

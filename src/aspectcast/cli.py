@@ -104,7 +104,8 @@ def cmd_predict(args) -> None:
     except Exception as e:
         raise StageError("predict", str(e)) from None
     _write(cfg.out_dir, "predictions.csv", corpus_mod.csv_bytes(
-        ["quarter", "predicted"], ([str(q), f"{float(v):.9f}"] for q, v in zip(matrix.quarters, predicted))))
+        ["quarter", "predicted"],
+        ([str(q), f"{float(v):.{eval_mod.REPORT_DECIMALS}f}"] for q, v in zip(matrix.quarters, predicted))))
 
 
 def cmd_evaluate(args) -> None:
@@ -114,7 +115,8 @@ def cmd_evaluate(args) -> None:
     def error(message):  # ``message`` starts with its line number
         return StageError("evaluate", f"{args.predictions} {message}")
 
-    reader = csv.DictReader(io.StringIO(read_input("evaluate", args.predictions, bytes.decode)))
+    text = read_input("evaluate", args.predictions, lambda data: data.decode("utf-8-sig"))
+    reader = csv.DictReader(io.StringIO(text))  # a leading byte-order mark is dropped
     predicted = {}
     with corpus_mod.csv_errors(reader.reader, error):
         absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
@@ -157,43 +159,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, desc, seed=False, matrix=False):
+        # each command takes only the overrides it reads
+        p = sub.add_parser(name, help=desc)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="seed for stochastic fits")
-        p.add_argument("--aspects", choices=["13", "16"], help="aspect set")
-        p.add_argument("--no-lag", action="store_true", dest="no_lag",
-                       help="drop the lagged-growth feature column")
-
-    for name, fn, desc in [
-        ("ingest", cmd_ingest, "validate inputs and write normalized copies"),
-        ("sentiment", cmd_sentiment, "write per-review sentiment scores"),
-        ("features", cmd_features, "write the perception feature matrix"),
-        ("pipeline", cmd_pipeline, "run the full backtest and write reports"),
-    ]:
-        p = sub.add_parser(name, help=desc)
-        common(p)
+        if seed:
+            p.add_argument("--seed", type=int, help="seed for stochastic fits")
+        if matrix:
+            p.add_argument("--aspects", choices=["13", "16"], help="aspect set")
+            p.add_argument("--no-lag", action="store_true", dest="no_lag",
+                           help="drop the lagged-growth feature column")
         p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("fit", help="fit one model on a feature CSV")
-    common(p)
+    command("ingest", cmd_ingest, "validate inputs and write normalized copies")
+    command("sentiment", cmd_sentiment, "write per-review sentiment scores")
+    command("features", cmd_features, "write the perception feature matrix", matrix=True)
+    command("pipeline", cmd_pipeline, "run the full backtest and write reports", seed=True, matrix=True)
+
+    p = command("fit", cmd_fit, "fit one model on a feature CSV", seed=True)
     p.add_argument("--features", required=True)
     p.add_argument("--kind", required=True, choices=list(SPECS))
     p.add_argument("--params", help="JSON object of model hyperparameters")
-    p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("predict", help="predict a feature CSV with a saved model")
-    common(p)
+    p = command("predict", cmd_predict, "predict a feature CSV with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
-    p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score predictions against a feature CSV's targets")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "score predictions against a feature CSV's targets")
     p.add_argument("--features", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--label", default="model")
-    p.set_defaults(fn=cmd_evaluate)
 
     return parser
 

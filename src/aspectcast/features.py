@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aspects import ASPECT_SET_16
 from .corpus import Quarter, RevenueSeries, csv_errors
 from .schema import Key
 
@@ -37,10 +38,7 @@ class PerceptionRecord:
 
     aspect_id: str
     quarter: Quarter
-    compound_sum: float
-    review_count: int
     perception: float
-    empty: bool = False
 
 
 @dataclass(frozen=True)
@@ -66,17 +64,15 @@ def revenue_growth(series: RevenueSeries) -> GrowthSeries:
 
 
 def perception(aspect_id: str, quarter: Quarter, compounds: list[float]) -> PerceptionRecord:
-    """Mean compound sentiment of the reviews referring to one aspect in one quarter.
-
-    An empty compound list yields a neutral (0) record flagged ``empty``.
+    """Mean compound sentiment of the reviews referring to one aspect in one
+    quarter; a cell without reviews has no record (``assemble`` fills it).
     """
+    if not compounds:
+        raise FeatureError(f"no compounds for {aspect_id!r} in {quarter}")
     for c in compounds:
         if not -1.0 <= c <= 1.0:
             raise FeatureError(f"compound out of range [-1, 1]: {c}")
-    if not compounds:
-        return PerceptionRecord(aspect_id, quarter, 0.0, 0, 0.0, empty=True)
-    total = math.fsum(compounds)
-    return PerceptionRecord(aspect_id, quarter, total, len(compounds), total / len(compounds))
+    return PerceptionRecord(aspect_id, quarter, math.fsum(compounds) / len(compounds))
 
 
 @dataclass
@@ -119,7 +115,7 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, data: bytes) -> "FeatureMatrix":
-        reader = csv.reader(io.StringIO(data.decode("utf-8")))
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))  # a leading byte-order mark is dropped
         with csv_errors(reader, FeatureError):
             header = next(reader, None)
             if not header or header[0] != "quarter" or header[-1] != "target_growth":
@@ -159,11 +155,8 @@ def assemble(
     previous quarter's growth is appended as a column and the first growth
     quarter is dropped (it has no lag).
     """
-    known = {p.aspect_id for p in perceptions}
-    from .aspects import ASPECT_SET_16
-
     for aid in aspect_ids:
-        if aid not in ASPECT_SET_16 and aid not in known:
+        if aid not in ASPECT_SET_16:
             raise FeatureError(f"unknown aspect id: {aid!r}")
     lookup = {(p.aspect_id, p.quarter): p.perception for p in perceptions}
 

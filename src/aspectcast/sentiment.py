@@ -150,7 +150,7 @@ def score_ids(ids, counts, texts, lexicon: SentimentLexicon, config: HeuristicCo
     """
     cfg = config or _DEFAULT_HEURISTICS
     ends = np.cumsum(counts)
-    token_flags = tokens_mod._TABLE.arrays()[1][ids]
+    token_flags = tokens_mod._TABLE.flags[ids]
     hits, v = _hits(ids, lexicon)
     del ids  # one slot per token: the passes below use the hits and the rarer flagged tokens
     text = text_of(ends, hits)
@@ -167,7 +167,7 @@ def _hits(ids: np.ndarray, lexicon: SentimentLexicon) -> tuple[np.ndarray, np.nd
     Each distinct word of the block is looked up once. A valence that is not
     0 (nan included) makes a hit; other tokens add nothing to a score.
     """
-    word_ids = tokens_mod._TABLE.arrays()[0]
+    word_ids = tokens_mod._TABLE.word_ids
     seen = np.zeros(len(word_ids), bool)
     seen[ids] = True
     seen_words = np.zeros(len(tokens_mod._TABLE.words), bool)

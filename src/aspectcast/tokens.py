@@ -41,25 +41,15 @@ _WORD_FLAGS = {
 }
 
 _WORD_CLEAN_RE = re.compile(r"^\W+|\W+$")
-# the ASCII characters \W matches: all but letters, digits and "_"
-_ASCII_NONWORD = "".join(c for c in map(chr, range(128)) if not (c.isalnum() or c == "_"))
 
 
 def _clean(token: str) -> str:
-    if token.isascii():
-        return token.strip(_ASCII_NONWORD).replace("'", "")
     return _WORD_CLEAN_RE.sub("", token).replace("'", "")
 
 
-# every byte but a-z and 0-9 becomes a space; the UTF-8 bytes of a non-ASCII
-# character are all >= 0x80, so the runs left are the [a-z0-9]+ runs of the text
-_SEPARATE = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for b in range(256))
-
-
-def _atoms(text: str) -> list[bytes]:
-    """The ``[a-z0-9]+`` runs of the lowered ``text``, as ASCII bytes."""
-    # surrogatepass: a lone surrogate (a JSON "\ud800" escape) is not an error
-    return text.lower().encode("utf-8", "surrogatepass").translate(_SEPARATE).split()
+def _atoms(text: str) -> list[str]:
+    """The ``[a-z0-9]+`` runs of the lowered ``text``."""
+    return re.findall(r"[a-z0-9]+", text.lower())
 
 
 class _TokenTable(dict):
@@ -90,7 +80,7 @@ class _TokenTable(dict):
     def clear(self):
         super().clear()
         self.words: dict[str, int] = {}
-        self.atoms: dict[bytes, int] = {}
+        self.atoms: dict[str, int] = {}
         self.word_ids = np.zeros(1, np.intp)
         self.flags = np.zeros(1, np.uint8)
         self.atom_starts = np.zeros(1, np.intp)
@@ -103,8 +93,7 @@ class _TokenTable(dict):
         self._new_atom_ids: list[int] = []
 
     def __missing__(self, token: str) -> int:
-        # _clean leaves a token made only of letters and digits unchanged
-        word = token if token.isalnum() else _clean(token)
+        word = _clean(token)
         if not word:
             self[token] = 0
             return 0
@@ -134,16 +123,6 @@ class _TokenTable(dict):
         for pending in (self._new_word_ids, self._new_flags, self._new_atom_counts, self._new_atom_ids):
             pending.clear()
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``word_ids`` and ``flags``, grown to hold every id given so far."""
-        self._grow()
-        return self.word_ids, self.flags
-
-    def atom_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``atom_starts``, ``atom_counts`` and ``atom_ids``, grown to hold every id given so far."""
-        self._grow()
-        return self.atom_starts, self.atom_counts, self.atom_ids
-
 
 _TABLE = _TokenTable()
 _TOKEN_TABLE_CAP = 2**14
@@ -153,7 +132,8 @@ def token_ids(texts) -> tuple[np.ndarray, np.ndarray]:
     """The ids of the tokens of ``texts`` that clean to a word, in order, and
     each text's count of them.
 
-    The ids index ``_TABLE`` until the next call, which may clear it.
+    The ids index ``_TABLE`` and its per-id arrays, grown to hold them,
+    until the next call, which may clear it.
     """
     if len(_TABLE) >= _TOKEN_TABLE_CAP:
         _TABLE.clear()
@@ -165,6 +145,7 @@ def token_ids(texts) -> tuple[np.ndarray, np.ndarray]:
         return tokens
 
     ids = np.fromiter(map(_TABLE.__getitem__, chain.from_iterable(map(split, texts))), np.intp)
+    _TABLE._grow()
     counts = np.array(counts, np.intp)
     dropped = np.flatnonzero(ids == 0)  # tokens that clean to nothing hold no position
     if dropped.size:

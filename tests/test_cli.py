@@ -143,6 +143,66 @@ class TestStages:
         assert "lagged_growth" in header and "after_sales_experience" in header
         assert len(header) == 1 + 16 + 1 + 1  # quarter, aspects, lag, target
 
+    def test_each_command_takes_only_the_overrides_it_reads(self):
+        (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
+        flags = {name: [a.option_strings[-1] for a in p._actions if a.dest != "help" and a.option_strings]
+                 for name, p in commands.items()}
+        assert flags == {
+            "ingest": ["--config", "--out"],
+            "sentiment": ["--config", "--out"],
+            "features": ["--config", "--out", "--aspects", "--no-lag"],
+            "pipeline": ["--config", "--out", "--seed", "--aspects", "--no-lag"],
+            "fit": ["--config", "--out", "--seed", "--features", "--kind", "--params"],
+            "predict": ["--config", "--out", "--model", "--features"],
+            "evaluate": ["--config", "--out", "--features", "--predictions", "--label"],
+        }
+        assert sum(map(len, flags.values())) == 28
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, flag) for command in ("ingest", "sentiment", "predict", "evaluate")
+          for flag in ("--seed=1", "--aspects=13", "--no-lag")),
+        ("features", "--seed=1"), ("fit", "--aspects=13"), ("fit", "--no-lag"),
+    ])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command, flag):
+        required = {
+            "fit": ["--features", "f.csv", "--kind", "lr"],
+            "predict": ["--model", "m.json", "--features", "f.csv"],
+            "evaluate": ["--features", "f.csv", "--predictions", "p.csv"],
+        }.get(command, [])
+        with pytest.raises(SystemExit) as exited:
+            main([command, *required, flag, "--out", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, marked", [
+        ("fit", "features"), ("predict", "features"), ("evaluate", "predictions"),
+    ])
+    def test_input_with_byte_order_mark(self, tmp_path, command, marked):
+        # a spreadsheet "CSV UTF-8" export opens with one; it is dropped
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        inputs = {"features": out / "features.csv", "predictions": out / "predictions.csv"}
+        assert main(["fit", "--features", str(inputs["features"]), "--kind", "svr", "--out", str(out)]) == 0
+        assert main(["predict", "--model", str(out / "model_svr.json"), "--features", str(inputs["features"]),
+                     "--out", str(out)]) == 0
+
+        def written(name):
+            args = {
+                "fit": ["--kind", "svr"],
+                "predict": ["--model", str(out / "model_svr.json")],
+                "evaluate": ["--predictions", str(inputs["predictions"])],
+            }[command]
+            assert main([command, "--features", str(inputs["features"]), *args,
+                         "--out", str(tmp_path / name)]) == 0
+            return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+
+        plain = written("plain")
+        inputs[marked] = tmp_path / "marked.csv"
+        inputs[marked].write_bytes(b"\xef\xbb\xbf" + (out / f"{marked}.csv").read_bytes())
+        assert written("marked") == plain
+
     def test_fit_predict_evaluate(self, tmp_path):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "out"

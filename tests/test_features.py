@@ -65,17 +65,15 @@ class TestPerception:
     def test_twelve_review_mean(self):
         rec = perception("after_sales_experience", Quarter(2016, 4), self.TABLE2)
         assert rec.perception == pytest.approx(0.66848334, abs=1e-8)
-        assert rec.compound_sum == pytest.approx(8.0218, abs=1e-12)
-        assert rec.review_count == 12
 
     def test_single(self):
         rec = perception("cost_savings", Quarter(2016, 4), [0.5])
         assert rec.perception == 0.5
 
     def test_empty(self):
-        rec = perception("cost_savings", Quarter(2016, 4), [])
-        assert rec.perception == 0.0
-        assert rec.empty
+        # a cell without reviews has no record; assemble fills it
+        with pytest.raises(FeatureError, match="no compounds"):
+            perception("cost_savings", Quarter(2016, 4), [])
 
     def test_out_of_range(self):
         with pytest.raises(FeatureError):
@@ -120,6 +118,12 @@ class TestAssemble:
     def test_unknown_aspect(self):
         with pytest.raises(FeatureError, match="unknown aspect"):
             assemble([], make_growth([0.1, 0.2]), ["bogus"], include_lag=False)
+
+    def test_unknown_aspect_even_with_a_record(self):
+        growth = make_growth([0.1, 0.2])
+        recs = [perception("bogus", q, [0.5]) for q in growth.quarters]
+        with pytest.raises(FeatureError, match="unknown aspect id: 'bogus'"):
+            assemble(recs, growth, ["cost_savings", "bogus"], include_lag=False)
 
     def test_13_vs_16_columns(self):
         from aspectcast.aspects import ASPECT_SET_13, ASPECT_SET_16

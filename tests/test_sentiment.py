@@ -224,7 +224,7 @@ class TestTokenTable:
 
     def test_lowered_words_are_shared(self, table):
         analyze("Good good. GOOD!", LEX)
-        word_ids, flags = table.arrays()
+        word_ids, flags = table.word_ids, table.flags
         assert word_ids[table["Good"]] == word_ids[table["good."]] == word_ids[table["GOOD!"]]
         assert list(table.words) == ["good"]
         assert flags[table["GOOD!"]] & tokens._CAPS and not flags[table["Good"]] & tokens._CAPS
@@ -244,7 +244,7 @@ class TestTokenTable:
             sizes.append(len(table))
         assert max(sizes) < cap + 3 * 44
         assert any(after < before for before, after in zip(sizes, sizes[1:]))  # it was cleared
-        assert len(table.words) <= len(table) == len(table.arrays()[0]) - 1 == len(table.flags) - 1
+        assert len(table.words) <= len(table) == len(table.word_ids) - 1 == len(table.flags) - 1
 
     def test_tokens_that_clean_to_nothing_hold_no_word_position(self, table):
         cfg = HeuristicConfig(negation_window=1)
