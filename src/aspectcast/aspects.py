@@ -148,7 +148,7 @@ class AspectMatch:
 def load_vocabulary(data: bytes) -> AspectVocabulary:
     """Load a JSON vocabulary mapping aspect ids to phrase arrays."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8-sig"))
     except json.JSONDecodeError as e:
         raise VocabularyError(f"malformed vocabulary JSON: {e.msg}") from None
     if not isinstance(obj, dict):

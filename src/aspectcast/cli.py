@@ -82,7 +82,10 @@ def cmd_features(args) -> None:
 def cmd_fit(args) -> None:
     cfg = _load_config(args)
     matrix = _read_features(args)
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except RecursionError:  # json's decoder recurses once per level of nesting
+        raise StageError("fit", "--params nested too deeply to parse") from None
     if not isinstance(params, dict):
         raise StageError("fit", "--params must be a JSON object")
     # not make(**params): a param named like one of make's arguments is an unknown key

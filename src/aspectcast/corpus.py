@@ -11,6 +11,7 @@ import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Quarter",
@@ -60,18 +61,22 @@ class Quarter:
         return f"{self.year}Q{self.index}"
 
 
-@dataclass(frozen=True)
-class Review:
-    """One customer review tied to a calendar quarter."""
-
+class _ReviewFields(NamedTuple):
     id: str
     quarter: Quarter
     text: str
     source: str | None = None
 
-    def __post_init__(self):
-        if not self.text.strip():
-            raise CorpusError(f"review {self.id!r} has empty text")
+
+class Review(_ReviewFields):
+    """One customer review tied to a calendar quarter: an immutable named tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, quarter: Quarter, text: str, source: str | None = None):
+        if not text.strip():
+            raise CorpusError(f"review {id!r} has empty text")
+        return super().__new__(cls, id, quarter, text, source)
 
 
 @dataclass(frozen=True)
@@ -96,22 +101,32 @@ class RevenueSeries:
         return len(self.quarters)
 
 
-def _build_review(idx, rid, qlabel, text, source, seen_ids):
+def _build_review(idx, rid, qlabel, text, source, seen_ids, quarters):
+    """The Review of the record at line ``idx``, every field checked.
+
+    ``seen_ids`` holds the ids read so far and ``quarters`` the quarter of
+    each label read so far, both for one parse. The checks done, the tuple is
+    built without ``Review``'s own.
+    """
     if rid is None or rid == "":
         raise CorpusError(f"line {idx}: missing review id")
     if isinstance(rid, (list, dict)):
         raise CorpusError(f"line {idx}: review id must be a string or a number, not {rid!r}")
     # ids compare as the string the Review carries, so 5 and "5" are one id
-    if str(rid) in seen_ids:
+    review_id = str(rid)
+    if review_id in seen_ids:
         raise CorpusError(f"line {idx}: duplicate review id {rid!r}")
-    if text is None or not str(text).strip():
+    if text is None or not (text := str(text)) or text.isspace():
         raise CorpusError(f"line {idx}: empty text for review {rid!r}")
     try:
-        quarter = Quarter.parse(str(qlabel))
-    except CorpusError as e:
-        raise CorpusError(f"line {idx}: {e}") from None
-    seen_ids.add(str(rid))
-    return Review(id=str(rid), quarter=quarter, text=str(text), source=source or None)
+        quarter = quarters[qlabel]
+    except (KeyError, TypeError):  # a label not read before, or one that is no dict key
+        try:
+            quarter = quarters[qlabel] = Quarter.parse(str(qlabel))
+        except CorpusError as e:
+            raise CorpusError(f"line {idx}: {e}") from None
+    seen_ids.add(review_id)
+    return tuple.__new__(Review, (review_id, quarter, text, source or None))
 
 
 def iter_reviews(stream, format: str = "jsonl") -> Iterator[Review]:
@@ -150,27 +165,42 @@ def parse_reviews(data: bytes, format: str = "jsonl") -> list[Review]:
 
 def _jsonl_reviews(lines) -> Iterator[Review]:
     seen: set[str] = set()
+    quarters: dict = {}
+    scan = json.JSONDecoder().scan_once  # json.loads' C scanner, without its Python wrapper
     for idx, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            # without its "\n", so a broken record reads as it would alone
-            obj = json.loads(line.rstrip("\n"))
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"line {idx}: malformed JSON ({e.msg})") from None
+            obj, end = scan(line, 0)
+        except Exception:  # no value at the line's start, or a broken one
+            end = -1
+        # A value that fills its line, up to the "\n", is what json.loads reads
+        # there. Any other line takes json.loads itself: it is blank, padded
+        # with whitespace, opens with a BOM, holds more or is broken.
+        if end < 0 or line[end:] not in ("\n", ""):
+            if not line.strip():
+                continue
+            try:
+                # without its "\n", so a broken record reads as it would alone
+                obj = json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"line {idx}: malformed JSON ({e.msg})") from None
+            except RecursionError:
+                raise CorpusError(f"line {idx}: malformed JSON (nested too deeply)") from None
         if not isinstance(obj, dict):
             raise CorpusError(f"line {idx}: expected a JSON object")
-        yield _build_review(idx, obj.get("id"), obj.get("quarter"), obj.get("text"), obj.get("source"), seen)
+        get = obj.get
+        yield _build_review(idx, get("id"), get("quarter"), get("text"), get("source"), seen, quarters)
 
 
 def _csv_reviews(lines) -> Iterator[Review]:
     seen: set[str] = set()
+    quarters: dict = {}
     reader = csv.DictReader(lines)
     with csv_errors(reader.reader):
         if reader.fieldnames is None or not {"id", "quarter", "text"} <= set(reader.fieldnames):
             raise CorpusError("CSV header must contain id,quarter,text")
         for idx, row in enumerate(reader, start=2):
-            yield _build_review(idx, row.get("id"), row.get("quarter"), row.get("text"), row.get("source"), seen)
+            get = row.get
+            yield _build_review(idx, get("id"), get("quarter"), get("text"), get("source"), seen, quarters)
 
 
 @contextmanager

@@ -43,7 +43,7 @@ def model_to_json(model) -> bytes:
 def model_from_json(data: bytes):
     """Rebuild a fitted model; a file that is not one, or holds a field its kind
     does not store, raises FitError."""
-    obj = json.loads(data.decode("utf-8"))
+    obj = json.loads(data.decode("utf-8-sig"))
     if not isinstance(obj, dict):
         raise FitError("model JSON must be an object")
     kind = obj.get("kind")

@@ -67,7 +67,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
         def parse(data):
-            obj = json.loads(data.decode("utf-8"))
+            obj = json.loads(data.decode("utf-8-sig"))
             if not isinstance(obj, dict):
                 raise ValueError("top level must be a JSON object")
             return obj
@@ -147,6 +147,8 @@ def _input_errors(stage: str, path):
         raise StageError(stage, f"{path}: not valid UTF-8 ({e.reason})") from None
     except (OSError, ValueError) as e:
         raise StageError(stage, f"{path}: {e}") from None
+    except RecursionError:  # json's decoders recurse once per level of nesting
+        raise StageError(stage, f"{path}: nested too deeply to parse") from None
 
 
 def read_input(stage: str, path, parse):
@@ -238,17 +240,21 @@ def build_perceptions(reviews, vocab, lexicon, heuristics):
     quarters: dict = {}  # quarter -> its id, in order of first appearance
     kept = []  # per block, of the matched reviews: quarter ids, aspect bits, compounds
     for block in _blocks(reviews):
-        texts = [r.text for r in block]
+        _, block_quarters, texts, _ = zip(*block)
         ids, counts = tokens_mod.token_ids(texts)
         text, phrase = aspects_mod.match_block(ids, counts, vocab)
         aspects = np.zeros(len(block), np.intp)
         np.bitwise_or.at(aspects, text, aspect_bits[phrase])
         matched = aspects != 0
-        rows = matched.tolist()
         compounds = sentiment_mod.score_ids(ids[np.repeat(matched, counts)], counts[matched],
-                                            list(compress(texts, rows)), lexicon, heuristics)[3]
-        quarter = np.fromiter((quarters.setdefault(r.quarter, len(quarters)) for r in compress(block, rows)),
-                              np.intp, len(compounds))
+                                            list(compress(texts, matched.tolist())), lexicon, heuristics)[3]
+        # a block's quarters are few objects, mostly shared: the objects are
+        # told apart by their ids in NumPy, and each distinct one hashed once
+        objects = np.fromiter(map(id, block_quarters), np.intp, len(block))[matched]
+        _, first, quarter = np.unique(objects, return_index=True, return_inverse=True)
+        firsts = np.flatnonzero(matched)[first].tolist()
+        quarter = np.array([quarters.setdefault(block_quarters[i], len(quarters)) for i in firsts],
+                           np.intp)[quarter]
         kept.append((quarter, aspects[matched], compounds))
     if not kept:
         return []

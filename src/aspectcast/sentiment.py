@@ -69,7 +69,7 @@ class HeuristicConfig:
     @classmethod
     def from_json(cls, data: bytes) -> "HeuristicConfig":
         """Default config with fields overridden from a JSON object."""
-        overrides = json.loads(data.decode("utf-8"))
+        overrides = json.loads(data.decode("utf-8-sig"))
         if not isinstance(overrides, dict):
             raise ValueError("heuristics must be a JSON object")
         return cls(**validate(keys(cls), overrides, ValueError))
@@ -83,7 +83,7 @@ def load_lexicon(data: bytes) -> SentimentLexicon:
     punctuation at either end, can never match a word of a text.
     """
     lexicon: SentimentLexicon = {}
-    for idx, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for idx, line in enumerate(data.decode("utf-8-sig").splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -113,15 +113,6 @@ def default_lexicon() -> SentimentLexicon:
 # Scaling of a degree modifier's effect by distance from the sentiment token.
 _DISTANCE_DECAY = (1.0, 0.95, 0.9)
 _DEFAULT_HEURISTICS = HeuristicConfig()  # checked once, not on every analyze call
-
-
-def _punctuation_emphasis(text: str, cfg: HeuristicConfig) -> float:
-    excl = min(text.count("!"), cfg.exclamation_cap)
-    emphasis = excl * cfg.exclamation_boost
-    qm = text.count("?")
-    if qm > 1:
-        emphasis += min((qm - 1) * cfg.question_step, cfg.question_max)
-    return emphasis
 
 
 def normalize_valence_sum(total: float, alpha: float = HeuristicConfig.alpha) -> float:
@@ -245,11 +236,31 @@ def _sums(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, values, n).astype(float, copy=False)  # int zeros when empty
 
 
+def _punctuation(texts, cfg: HeuristicConfig) -> np.ndarray:
+    """Each text's emphasis: ``min(count("!"), exclamation_cap) * exclamation_boost``,
+    plus ``min((count("?") - 1) * question_step, question_max)`` when it holds
+    more than one "?"; Python's ``min(a, b)``, which is ``b if b < a else a``.
+
+    The three weights are used as floats, as in the other passes, so an int
+    weight computes as Python computed it while its products stay below 2**53.
+    """
+    n = len(texts)
+    exclamations = np.fromiter(map(str.count, texts, repeat("!")), np.int64, n)
+    # no count reaches the int64 maximum, so a larger cap caps nothing
+    np.minimum(exclamations, min(cfg.exclamation_cap, np.iinfo(np.int64).max), out=exclamations)
+    emphasis = exclamations * float(cfg.exclamation_boost)
+    questions = np.fromiter(map(str.count, texts, repeat("?")), np.int64, n)
+    beyond = (questions - 1) * float(cfg.question_step)
+    question_max = float(cfg.question_max)
+    np.add(emphasis, np.where(question_max < beyond, question_max, beyond), out=emphasis, where=questions > 1)
+    return emphasis
+
+
 def _scores(texts, v, text, counts, cfg: HeuristicConfig) -> tuple:
     """The four score columns from the hits' final valences ``v``."""
     n = len(counts)
     total = _sums(text, v, n)
-    emphasis = np.fromiter(map(_punctuation_emphasis, texts, repeat(cfg)), float, n)
+    emphasis = _punctuation(texts, cfg)
     up, down = total > 0, total < 0
     np.add(total, emphasis, out=total, where=up)
     np.subtract(total, emphasis, out=total, where=down)

@@ -1,0 +1,36 @@
+"""scripts/bench_pairs.py's summary: quartiles per side and the change's pair wins."""
+
+import importlib.util
+from pathlib import Path
+
+PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def run(reviews_per_s, run_s, correct=True):
+    return {"correct": correct, "failed": 0 if correct else 1, "attempted": 10,
+            "metrics": {"reviews_per_s": reviews_per_s, "run_s": run_s}}
+
+
+def test_summary_counts_wins_and_quartiles():
+    rates = [(100, 110), (120, 130), (90, 90), (110, 100), (105, 140)]  # (parent, change)
+    pairs = [{"runs": {"text-unique": {"parent": run(a, 1 / a), "change": run(b, 1 / b)}}} for a, b in rates]
+    pairs.append({"runs": {"text-unique": {"parent": run(1, 1), "change": {"error": "exit 2"}}}})
+    pairs[0]["runs"]["model-sweep"] = {"parent": run(5, 2.0), "change": run(5, 2.5, correct=False)}
+    summary = bench_pairs.summarize(pairs, {"reviews_per_s": "higher", "run_s": "lower"})
+
+    text = summary["text-unique"]
+    assert (text["pairs"], text["all_correct"], text["failed"]) == (5, True, 0)  # the errored pair is left out
+    rate = text["metrics"]["reviews_per_s"]
+    assert (rate["wins"], rate["losses"]) == (3, 1)  # the tie counts for neither
+    assert rate["parent"] == {"q1": 100, "median": 105, "q3": 110}
+    assert rate["change"] == {"q1": 100, "median": 110, "q3": 130}
+    seconds = text["metrics"]["run_s"]
+    assert (seconds["wins"], seconds["losses"]) == (3, 1)  # lower is better
+    sweep = summary["model-sweep"]
+    assert (sweep["pairs"], sweep["all_correct"], sweep["failed"]) == (1, False, 1)
+    assert sweep["metrics"]["run_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+    assert (sweep["metrics"]["run_s"]["wins"], sweep["metrics"]["run_s"]["losses"]) == (0, 1)
+    assert bench_pairs.seeds(["500-502", "4099"]) == [500, 501, 502, 4099]

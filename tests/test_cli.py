@@ -203,6 +203,33 @@ class TestStages:
         inputs[marked].write_bytes(b"\xef\xbb\xbf" + (out / f"{marked}.csv").read_bytes())
         assert written("marked") == plain
 
+    @pytest.mark.parametrize("marked", ["config", "vocabulary", "lexicon", "heuristics", "model"])
+    def test_json_input_or_lexicon_with_byte_order_mark(self, tmp_path, marked):
+        # an editor may save one; it is dropped, as from the CSV inputs
+        config = write_small_corpus(tmp_path)
+        bundled = resources.files("aspectcast").joinpath("data")
+        files = {"config": config, "vocabulary": tmp_path / "vocabulary.json",
+                 "lexicon": tmp_path / "lexicon.txt", "heuristics": tmp_path / "heuristics.json",
+                 "model": tmp_path / "out" / "model_svr.json"}
+        files["vocabulary"].write_bytes(bundled.joinpath("default_vocabulary.json").read_bytes())
+        files["lexicon"].write_bytes(bundled.joinpath("sentiment_lexicon.txt").read_bytes())
+        files["heuristics"].write_text('{"caps_boost": 0.5}')
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), vocabulary="vocabulary.json",
+                                          lexicon="lexicon.txt", heuristics="heuristics.json")))
+        features = tmp_path / "out" / "features.csv"
+        assert main(["features", "--config", str(config), "--out", str(features.parent)]) == 0
+        assert main(["fit", "--features", str(features), "--kind", "svr", "--out", str(features.parent)]) == 0
+
+        def written(name):
+            args = (["predict", "--model", str(files["model"]), "--features", str(features)]
+                    if marked == "model" else ["features", "--config", str(config)])
+            assert main([*args, "--out", str(tmp_path / name)]) == 0
+            return {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+
+        plain = written("plain")
+        files[marked].write_bytes(b"\xef\xbb\xbf" + files[marked].read_bytes())
+        assert written("marked") == plain
+
     def test_fit_predict_evaluate(self, tmp_path):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "out"
@@ -591,6 +618,38 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"error [{command}] {bad}: not valid UTF-8 (invalid start byte)" in err
         assert not (tmp_path / "out2").exists()
+
+    def test_byte_order_mark_after_the_start_is_a_character(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf{}")
+        assert main(["features", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error [config] {config}: Unexpected UTF-8 BOM" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["reviews", "config", "vocabulary", "heuristics", "params"])
+    def test_deeply_nested_json(self, tmp_path, capsys, where):
+        deep = "[" * 100_000 + "]" * 100_000
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        argv = ["ingest", "--config", str(config), "--out", str(out)]
+        if where == "reviews":  # after the small corpus's 16 lines
+            with (tmp_path / "reviews.jsonl").open("a") as f:
+                f.write(f'{{"id": "x", "quarter": "2016Q1", "text": {deep}}}\n')
+            expected = f"error [ingest] {tmp_path / 'reviews.jsonl'}: line 17: malformed JSON (nested too deeply)"
+        elif where == "config":
+            config.write_text(f'{{"seed": {deep}}}')
+            expected = f"error [config] {config}: nested too deeply to parse"
+        elif where == "params":
+            assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
+            argv = ["fit", "--features", str(tmp_path / "features.csv"), "--kind", "lr", "--params", deep,
+                    "--out", str(out)]
+            expected = "error [fit] --params nested too deeply to parse"
+        else:
+            (tmp_path / f"{where}.json").write_text(f'{{"x": {deep}}}')
+            config.write_text(json.dumps(dict(json.loads(config.read_text()), **{where: f"{where}.json"})))
+            expected = f"error [ingest] {tmp_path / f'{where}.json'}: nested too deeply to parse"
+        assert main(argv) == 1
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [5, None, {"kind": "lr"}, "lr"])
     def test_models_not_a_list(self, tmp_path, capsys, value):

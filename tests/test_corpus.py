@@ -1,4 +1,6 @@
 import importlib.util
+import io
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -129,6 +131,98 @@ class TestParseReviews:
         )
         reviews = parse_reviews(data, "jsonl")
         assert parse_reviews(reviews_to_jsonl(reviews), "jsonl") == reviews
+
+
+class TestReview:
+    def test_blank_text_is_refused(self):
+        for text in ("", "  ", "\t\n", "\u2028"):
+            with pytest.raises(CorpusError, match="review 'r1' has empty text"):
+                Review("r1", Quarter(2016, 4), text)
+
+    def test_repr_and_equality_of_built_and_parsed_reviews(self):
+        built = [Review("r1", Quarter(2016, 4), "great support"),
+                 Review(id="r2", quarter=Quarter(2017, 1), text="slow", source="forum")]
+        parsed = parse_reviews(b'{"id":"r1","quarter":"2016Q4","text":"great support"}\n'
+                               b'{"id":"r2","quarter":"2017Q1","text":"slow","source":"forum"}\n', "jsonl")
+        assert parsed == built and [type(r) for r in parsed] == [Review, Review]
+        assert [repr(r) for r in parsed] == [repr(r) for r in built] == [
+            "Review(id='r1', quarter=Quarter(year=2016, index=4), text='great support', source=None)",
+            "Review(id='r2', quarter=Quarter(year=2017, index=1), text='slow', source='forum')",
+        ]
+        assert hash(parsed[0]) == hash(built[0])
+
+    def test_immutable(self):
+        review = Review("r1", Quarter(2016, 4), "great support")
+        with pytest.raises(AttributeError):
+            review.text = "changed"
+        assert review.text == "great support"
+
+
+def reference_jsonl_outcome(data):
+    """The reviews by repr, or the error, of the parse that ran ``json.loads``
+    on every non-blank line without its "\\n" (the records here are otherwise
+    valid, so a Review is built straight from each)."""
+    reviews = []
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=None)
+    for idx, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.rstrip("\n"))
+        except json.JSONDecodeError as e:
+            return ("error", f"line {idx}: malformed JSON ({e.msg})")
+        reviews.append(repr(Review(str(obj["id"]), Quarter.parse(obj["quarter"]), str(obj["text"]),
+                                   obj.get("source") or None)))
+    return reviews
+
+
+def jsonl_outcome(data):
+    try:
+        return [repr(r) for r in parse_reviews(data, "jsonl")]
+    except CorpusError as e:
+        return ("error", str(e))
+
+
+RECORD = '{"id": "a", "quarter": "2016Q1", "text": "x"}'
+OTHER = '{"id": "b", "quarter": "2016Q2", "text": "y", "source": "forum"}'
+
+
+class TestScannedLines:
+    """Each line reads as ``json.loads`` read it, errors worded alike."""
+
+    @pytest.mark.parametrize("text", [
+        f"  {RECORD}  \n{OTHER}\n",           # spaces around a record
+        f"\t{RECORD}\t\n\t \n{OTHER}",        # tabs, a padded blank line, no final "\n"
+        f"{RECORD}\r{OTHER}\r",               # "\r" line ends
+        f"{RECORD}\r\n{OTHER} \r\n\r\n",      # "\r\n" line ends, a space before one
+        f"{RECORD}\n\x0b\u3000\n{OTHER}\n",    # blank to str.strip, not JSON whitespace
+        '{"id": NaN, "quarter": "2016Q1", "text": Infinity}\n'
+        '{"id": "b", "quarter": "2016Q1", "text": "x", "source": -Infinity}\n',
+        '{"id": "a", "quarter": "2016Q1", "text": "half \\ud800 a pair"}\n',
+        '{"id": "a", "quarter": "2016Q1", "text": "one\u2028line"}\n',
+    ])
+    def test_records(self, text):
+        data = text.encode()
+        assert jsonl_outcome(data) == reference_jsonl_outcome(data)
+        assert jsonl_outcome(data)[0] != "error"
+
+    @pytest.mark.parametrize("text, message", [
+        ("{} {}\n", "line 1: malformed JSON (Extra data)"),
+        (f"{RECORD}x", "line 1: malformed JSON (Extra data)"),
+        (f"{RECORD}\n\ufeff{OTHER}\n", "line 2: malformed JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        (f"{RECORD}\n{{\"id\": \n", "line 2: malformed JSON (Expecting value)"),
+        (f"{RECORD}\n {{\"id\": \"b\"\n", "line 2: malformed JSON (Expecting ',' delimiter)"),
+        (f"{RECORD}\n\x0b{OTHER}\n", "line 2: malformed JSON (Expecting value)"),
+    ])
+    def test_errors(self, text, message):
+        data = text.encode()
+        assert jsonl_outcome(data) == reference_jsonl_outcome(data) == ("error", message)
+
+    def test_deeply_nested_line(self):
+        deep = "[" * 100_000 + "]" * 100_000
+        data = f'{RECORD}\n{{"id": "b", "quarter": "2016Q1", "text": {deep}}}\n'.encode()
+        with pytest.raises(CorpusError, match=r"^line 2: malformed JSON \(nested too deeply\)$"):
+            parse_reviews(data, "jsonl")
 
 
 class TestParseRevenue:

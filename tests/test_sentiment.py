@@ -65,6 +65,12 @@ class TestLoadLexicon:
             load_lexicon(f"good\t1.9\n{entry}\n".encode())
         assert str(e.value) == f"line 2: token {token!r} can never match a scored word"
 
+    def test_byte_order_mark(self):
+        # one that opens the file is dropped; one anywhere else is a character
+        assert load_lexicon("\ufeffgood\t1.9\nbad\t-2.5".encode()) == {"good": 1.9, "bad": -2.5}
+        with pytest.raises(LexiconError, match=r"line 2: token '\\ufeffbad' can never match"):
+            load_lexicon("good\t1.9\n\ufeffbad\t-2.5".encode())
+
     def test_empty_token(self):
         with pytest.raises(LexiconError, match="line 1: token '' can never match"):
             load_lexicon(b"\t1.0")

@@ -12,10 +12,11 @@ import warnings
 from dataclasses import astuple
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aspectcast import aspects, tokens
+from aspectcast import aspects, sentiment, tokens
 from aspectcast.aspects import (
     ASPECT_SET_16,
     AspectMatch,
@@ -31,7 +32,6 @@ from aspectcast.sentiment import (
     _DISTANCE_DECAY,
     HeuristicConfig,
     SentimentScores,
-    _punctuation_emphasis,
     analyze,
     analyze_many,
     default_lexicon,
@@ -47,6 +47,15 @@ _REF_CLEAN_RE = re.compile(r"^\W+|\W+$")
 
 def _ref_clean(token):
     return _REF_CLEAN_RE.sub("", token).replace("'", "")
+
+
+def _ref_punctuation_emphasis(text, cfg):
+    excl = min(text.count("!"), cfg.exclamation_cap)
+    emphasis = excl * cfg.exclamation_boost
+    qm = text.count("?")
+    if qm > 1:
+        emphasis += min((qm - 1) * cfg.question_step, cfg.question_max)
+    return emphasis
 
 
 def reference_analyze(text, lexicon, config=None):
@@ -100,7 +109,7 @@ def reference_analyze(text, lexicon, config=None):
     total = 0.0
     for v in valences:
         total += v
-    emphasis = _punctuation_emphasis(text, cfg)
+    emphasis = _ref_punctuation_emphasis(text, cfg)
     if total > 0:
         total += emphasis
     elif total < 0:
@@ -323,6 +332,43 @@ class TestBlockEquivalence:
             assert_same_block_scores(texts, LEXICON, cfg)
         assert any(math.isinf(x) or math.isnan(x) for s in map(reference_analyze, texts, [LEXICON] * 5,
                                                               [cfg] * 5) for x in astuple(s))
+
+
+PUNCTUATED = ["", "no marks", "!", "?", "!!!!!", "??", "?????? !!", "!?" * 50, "?" * 1000, "good!!! ??",
+              "BAD?? but GREAT!", "not good!!!!!!!!"]
+EXTREME_PUNCTUATION = [
+    HeuristicConfig(exclamation_cap=10**30),
+    HeuristicConfig(exclamation_cap=2**63),
+    HeuristicConfig(exclamation_cap=0),
+    HeuristicConfig(exclamation_boost=-0.5, question_step=0.0),
+    HeuristicConfig(exclamation_boost=2, question_step=3, question_max=5),  # ints
+    HeuristicConfig(exclamation_boost=1e308, question_step=1e308),  # sums overflow to inf
+    HeuristicConfig(question_step=1e308, question_max=1e308),
+    HeuristicConfig(question_max=-1.0),
+]
+
+
+class TestPunctuationEquivalence:
+    """The block's "!" and "?" emphasis against the scalar rule, one text at a time."""
+
+    @pytest.mark.parametrize("cfg", [HeuristicConfig(), *EXTREME_PUNCTUATION])
+    def test_emphasis(self, cfg):
+        with np.errstate(over="ignore"):  # as score_ids calls it: overflow gives inf, as in Python
+            got = sentiment._punctuation(PUNCTUATED, cfg).tolist()
+        assert list(map(repr, got)) == [repr(float(_ref_punctuation_emphasis(t, cfg))) for t in PUNCTUATED]
+
+    @pytest.mark.parametrize("cfg", EXTREME_PUNCTUATION)
+    def test_scores(self, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_block_scores(PUNCTUATED, LEXICON, cfg)
+
+    @pytest.mark.parametrize("name", ["exclamation_boost", "question_step", "question_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weights_are_refused(self, name, value):
+        # so the block passes never see one
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            HeuristicConfig(**{name: value})
 
 
 # --- aspect matching ---------------------------------------------------------
