@@ -51,9 +51,8 @@ def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``root``: its result line, or the error that stopped it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # run.py puts its own src first
     try:
-        done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"error": f"timed out after {RUN_TIMEOUT_S} s"}
     lines = done.stdout.strip().splitlines()
