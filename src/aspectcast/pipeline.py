@@ -246,15 +246,15 @@ def build_perceptions(reviews, vocab, lexicon, heuristics):
         aspects = np.zeros(len(block), np.intp)
         np.bitwise_or.at(aspects, text, aspect_bits[phrase])
         matched = aspects != 0
+        rows = matched.tolist()
         compounds = sentiment_mod.score_ids(ids[np.repeat(matched, counts)], counts[matched],
-                                            list(compress(texts, matched.tolist())), lexicon, heuristics)[3]
-        # a block's quarters are few objects, mostly shared: the objects are
-        # told apart by their ids in NumPy, and each distinct one hashed once
-        objects = np.fromiter(map(id, block_quarters), np.intp, len(block))[matched]
-        _, first, quarter = np.unique(objects, return_index=True, return_inverse=True)
-        firsts = np.flatnonzero(matched)[first].tolist()
-        quarter = np.array([quarters.setdefault(block_quarters[i], len(quarters)) for i in firsts],
-                           np.intp)[quarter]
+                                            list(compress(texts, rows)), lexicon, heuristics)[3]
+        # a block's quarters are few objects, mostly shared: each distinct
+        # object, told apart by its id while the block holds it, is hashed once
+        objects = dict(zip(map(id, block_quarters), block_quarters))
+        quarter_ids = {i: quarters.setdefault(q, len(quarters)) for i, q in objects.items()}
+        quarter = np.fromiter(map(quarter_ids.__getitem__, map(id, compress(block_quarters, rows))),
+                              np.intp, len(compounds))
         kept.append((quarter, aspects[matched], compounds))
     if not kept:
         return []
