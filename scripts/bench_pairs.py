@@ -1,7 +1,7 @@
 """Benchmark a parent commit against this checkout in alternating pairs and record every run.
 
-    python3 scripts/bench_pairs.py --parent 149422f --seeds 500-509 --held-out 4099 4099 \
-        --out BENCH_20.json
+    python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 600-609 --held-out 4099 4099 \
+        --out BENCH_<n>.json
 
 Each seed makes one pair: ``perfbench/run.py --workload W --seed S --seconds 36``
 on both sides for each workload, the side that runs first alternating from
