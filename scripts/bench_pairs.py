@@ -8,7 +8,10 @@ on both sides for each workload, the side that runs first alternating from
 pair to pair. The parent side is the parent commit's files, unpacked with
 ``git archive`` into a temporary directory that is removed at the end; the
 change side is this checkout as it stands. Both run their own copy of
-``perfbench/``, so the two commits must not differ there.
+``perfbench/``, so the script refuses to start when the checkout's
+``perfbench/`` or ``BENCHMARK.json`` differs from the parent's: the two sides
+would run two benchmarks. The record lists the checkout's uncommitted files
+under ``src/`` and ``perfbench/``, untracked ones included.
 
 The record holds the commit pair, the seeds, each pair's order, and every
 run's end-to-end metrics with its ``correct``, ``failed`` and ``attempted``.
@@ -33,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("text-unique", "model-sweep")
+RUN_SECONDS = 36  # BENCHMARK.json's run_seconds: every run on both sides lasts this long
 RUN_TIMEOUT_S = 600
 
 
@@ -47,10 +51,10 @@ def unpack(commit: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(root: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``root``: its result line, or the error that stopped it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     try:
         done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -115,17 +119,23 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="the commit to compare the checkout with")
     parser.add_argument("--seeds", nargs="+", required=True, help="seeds or ranges like 500-509")
     parser.add_argument("--held-out", nargs="*", default=[], help="held-out seeds, summarized apart")
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
 
+    parent = git("rev-parse", args.parent)
+    if subprocess.run(["git", "diff", "--quiet", parent, "--", "perfbench", "BENCHMARK.json"], cwd=ROOT).returncode \
+            or git("ls-files", "--others", "--exclude-standard", "--", "perfbench"):
+        sys.exit(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the checkout; "
+                 "the two sides would run two benchmarks")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     record = {
-        "parent": git("rev-parse", args.parent),
+        "parent": parent,
         "change": git("rev-parse", "HEAD"),
-        "change_has_uncommitted_files": bool(git("status", "--porcelain", "--untracked-files=no")),
-        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "change_uncommitted_files": sorted({*git("diff", "--name-only", "HEAD", "--", "src", "perfbench").split(),
+                                            *git("ls-files", "--others", "--exclude-standard", "--", "src",
+                                                 "perfbench").split()}),
+        "command": f"perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} --trace 0",
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
         "seeds": seeds(args.seeds),
         "held_out_seeds": seeds(args.held_out),
@@ -138,7 +148,7 @@ def main() -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "held_out": i >= len(record["seeds"]), "order": list(order), "runs": {}}
             for workload in WORKLOADS:
-                pair["runs"][workload] = {side: bench(sides[side], workload, seed, args.seconds)
+                pair["runs"][workload] = {side: bench(sides[side], workload, seed)
                                           for side in order}
                 shown = {side: run.get("metrics", {}).get("reviews_per_s", run.get("error"))
                          for side, run in pair["runs"][workload].items()}

@@ -240,7 +240,7 @@ def build_perceptions(reviews, vocab, lexicon, heuristics):
     quarters: dict = {}  # quarter -> its id, in order of first appearance
     kept = []  # per block, of the matched reviews: quarter ids, aspect bits, compounds
     for block in _blocks(reviews):
-        _, block_quarters, texts, _ = zip(*block)
+        texts = [r.text for r in block]
         ids, counts = tokens_mod.token_ids(texts)
         text, phrase = aspects_mod.match_block(ids, counts, vocab)
         aspects = np.zeros(len(block), np.intp)
@@ -249,11 +249,7 @@ def build_perceptions(reviews, vocab, lexicon, heuristics):
         rows = matched.tolist()
         compounds = sentiment_mod.score_ids(ids[np.repeat(matched, counts)], counts[matched],
                                             list(compress(texts, rows)), lexicon, heuristics)[3]
-        # a block's quarters are few objects, mostly shared: each distinct
-        # object, told apart by its id while the block holds it, is hashed once
-        objects = dict(zip(map(id, block_quarters), block_quarters))
-        quarter_ids = {i: quarters.setdefault(q, len(quarters)) for i, q in objects.items()}
-        quarter = np.fromiter(map(quarter_ids.__getitem__, map(id, compress(block_quarters, rows))),
+        quarter = np.fromiter((quarters.setdefault(r.quarter, len(quarters)) for r in compress(block, rows)),
                               np.intp, len(compounds))
         kept.append((quarter, aspects[matched], compounds))
     if not kept:

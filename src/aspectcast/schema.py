@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
 
@@ -50,9 +51,10 @@ class Key:
                     else value in (13, 16, "13", "16"))
         if self.type not in ("int", "number"):
             return not self.choices or value in self.choices
-        # NaN fails every comparison
+        # NaN fails every comparison; a number must also convert to a float
         above = self.low < value if self.open_low else self.low <= value
-        return above and value <= self.high and -math.inf < value < math.inf
+        largest = sys.float_info.max if self.type == "number" else math.inf
+        return above and value <= self.high and -largest <= value <= largest
 
     def range(self) -> str:  # "" for none
         if self.high < math.inf:

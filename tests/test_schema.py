@@ -56,9 +56,9 @@ def test_param_names_per_kind():
 
 
 @pytest.mark.parametrize("value, ok", [
-    (1, True), (0.5, True), (1e300, True), (10 ** 400, True),
+    (1, True), (0.5, True), (1e300, True), (10 ** 400, False),
     (0, False), (-1, False), (math.inf, False), (math.nan, False), (True, False),
-    ("1", False), (None, False), ([1], False),
+    ("1", False), (None, False), ([1], False), (10 ** 300, True),
 ])
 def test_positive_number(value, ok):
     assert schema.Key("number", low=0, open_low=True).accepts(value) is ok

@@ -364,9 +364,9 @@ class TestPunctuationEquivalence:
             assert_same_block_scores(PUNCTUATED, LEXICON, cfg)
 
     @pytest.mark.parametrize("name", ["exclamation_boost", "question_step", "question_max"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, -10**400])
     def test_non_finite_weights_are_refused(self, name, value):
-        # so the block passes never see one
+        # so the block passes never see one, nor an int that float() cannot convert
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             HeuristicConfig(**{name: value})
 
