@@ -6,11 +6,11 @@
 Each seed makes one pair: ``perfbench/run.py --workload W --seed S --seconds 36``
 on both sides for each workload, the side that runs first alternating from
 pair to pair. The parent side is the parent commit's files, unpacked with
-``git archive`` into a temporary directory that is removed at the end; the
-change side is this checkout as it stands. Both run their own copy of
-``perfbench/``, so the script refuses to start when the checkout's
-``perfbench/`` or ``BENCHMARK.json`` differs from the parent's: the two sides
-would run two benchmarks. The record lists the checkout's uncommitted files
+``git archive`` into a temporary directory that is removed at the end, also
+when the script is stopped with SIGTERM; the change side is this checkout as
+it stands. Both run their own copy of ``perfbench/``, so the script refuses
+to start when the checkout's ``perfbench/`` or ``BENCHMARK.json`` differs
+from the parent's: the two sides would run two benchmarks. The record lists the checkout's uncommitted files
 under ``src/`` and ``perfbench/``, untracked ones included.
 
 The record holds the commit pair, the seeds, each pair's order, and every
@@ -24,9 +24,11 @@ fails outright is recorded with its error, and its pair counts in no summary.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -51,19 +53,42 @@ def unpack(commit: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
+def kill(proc: subprocess.Popen) -> None:
+    """Kill ``proc``'s process group and the group of each child it started in
+    a session of its own, as ``run.py`` starts its worker and set-up probes."""
+    children = []
+    with contextlib.suppress(OSError):  # it has ended, or the kernel does not list children
+        os.killpg(proc.pid, signal.SIGSTOP)  # so that it starts no child from here on
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()
+    for group in [*map(int, children), proc.pid]:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(group, signal.SIGKILL)
+
+
 def bench(root: Path, workload: str, seed: int) -> dict:
-    """One ``perfbench/run.py`` run in ``root``: its result line, or the error that stopped it."""
+    """One ``perfbench/run.py`` run in ``root``: its result line, or the error that stopped it.
+
+    The run has a session of its own, and is killed with its children when it
+    times out or when this script is stopped while it runs.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(RUN_SECONDS), "--trace", "0"]
-    try:
-        done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+    with subprocess.Popen(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            stdout = None
+        finally:
+            if proc.returncode is None:  # timed out, or this script is being stopped
+                kill(proc)
+    if stdout is None:
         return {"error": f"timed out after {RUN_TIMEOUT_S} s"}
-    lines = done.stdout.strip().splitlines()
+    lines = stdout.strip().splitlines()
     try:
         line = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"error": f"exit {done.returncode}: {done.stderr[-1000:]}"}
+        return {"error": f"exit {proc.returncode}: {stderr[-1000:]}"}
     return {"correct": line["correct"], "failed": line["failed"], "attempted": line["attempted"],
             "metrics": {name: m["value"] for name, m in line["metrics"].items()}}
 
@@ -121,6 +146,8 @@ def main() -> int:
     parser.add_argument("--held-out", nargs="*", default=[], help="held-out seeds, summarized apart")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
+    # a stopped script still removes the parent's copy and kills the run in progress
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     parent = git("rev-parse", args.parent)
     if subprocess.run(["git", "diff", "--quiet", parent, "--", "perfbench", "BENCHMARK.json"], cwd=ROOT).returncode \

@@ -84,6 +84,8 @@ def cmd_fit(args) -> None:
     matrix = _read_features(args)
     try:
         params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as e:
+        raise StageError("fit", f"--params: malformed JSON ({e})") from None
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise StageError("fit", "--params nested too deeply to parse") from None
     if not isinstance(params, dict):

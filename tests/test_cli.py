@@ -757,7 +757,7 @@ class TestErrors:
         assert "error [fit] model 'LR': failed to fit: too few rows" in err
         assert err.count("'LR'") == 1
 
-    @pytest.mark.parametrize("params", ["[1]", '"gamma"', "5", "null"])
+    @pytest.mark.parametrize("params", ["[1]", '"gamma"', "5", "null", "{bad"])
     def test_fit_params_not_an_object(self, tmp_path, capsys, params):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "out"
@@ -766,7 +766,9 @@ class TestErrors:
             "fit", "--features", str(out / "features.csv"), "--kind", "svr",
             "--params", params, "--out", str(out),
         ]) == 1
-        assert "error [fit] --params must be a JSON object" in capsys.readouterr().err
+        why = {"{bad": "--params: malformed JSON (Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1))"}.get(params, "--params must be a JSON object")
+        assert f"error [fit] {why}" in capsys.readouterr().err
         assert not (out / "model_svr.json").exists()
 
     @pytest.mark.parametrize("top", [["x"], [], "reviews.jsonl", 3])
