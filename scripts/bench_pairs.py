@@ -19,6 +19,7 @@ Its summary gives, per workload and metric, each side's median and quartiles
 and the pairs the change won and lost (ties count for neither), once over
 the ``--seeds`` pairs and once over the ``--held-out`` pairs. A run that
 fails outright is recorded with its error, and its pair counts in no summary.
+At the end the script prints one line per summary, workload and metric.
 """
 
 from __future__ import annotations
@@ -130,6 +131,22 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def summary_lines(name: str, summary: dict) -> list[str]:
+    """``summarize``'s result as one line per workload and metric: both
+    medians, the parent's quartiles, and the pairs the change won and lost."""
+    def g(value):
+        return "-" if value is None else f"{value:.6g}"
+
+    lines = []
+    for workload, result in summary.items():
+        for metric, m in result["metrics"].items():
+            parent, change = m["parent"], m["change"]
+            lines.append(f"{name} {workload} {metric} ({m['better']} is better): parent {g(parent['median'])} "
+                         f"[{g(parent['q1'])}, {g(parent['q3'])}] -> change {g(change['median'])}; "
+                         f"won {m['wins']}, lost {m['losses']} of {result['pairs']} pairs")
+    return lines
+
+
 def seeds(specs: list[str]) -> list[int]:
     """``["500-502", "4099"]`` -> ``[500, 501, 502, 4099]``."""
     out = []
@@ -187,8 +204,8 @@ def main() -> int:
         "held_out": summarize([p for p in record["pairs"] if p["held_out"]], better),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    claim = record["summary"]["seeds"]["text-unique"]["metrics"]["reviews_per_s"]
-    print(json.dumps(claim))
+    for name, summary in record["summary"].items():
+        print("\n".join(summary_lines(name, summary)))
     return 0
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -12,6 +11,7 @@ import numpy as np
 
 from . import tokens as tokens_mod
 from .corpus import Review
+from .schema import json_object
 
 __all__ = [
     "Aspect",
@@ -89,11 +89,21 @@ def _normalize_phrase(phrase: str) -> str:
 class AspectVocabulary:
     """Per-aspect phrase sets, lowercase and single-space normalized.
 
-    ``phrases`` must not change once the vocabulary has matched a review:
-    the phrase table is built from it on first use and kept.
+    Building one normalizes each aspect's phrases into a frozenset; a phrase
+    that is blank once normalized raises ``VocabularyError``. ``phrases``
+    must not change once the vocabulary has matched a review: the phrase
+    table is built from it on first use and kept.
     """
 
     phrases: dict  # aspect-id -> frozenset of phrases
+
+    def __post_init__(self):
+        phrases = {}
+        for aspect_id, entries in self.phrases.items():
+            phrases[aspect_id] = frozenset(map(_normalize_phrase, entries))
+            if "" in phrases[aspect_id]:
+                raise VocabularyError(f"blank phrase for aspect {aspect_id!r}")
+        object.__setattr__(self, "phrases", phrases)
 
     def for_aspect(self, aspect_id: str) -> frozenset:
         return self.phrases.get(aspect_id, frozenset())
@@ -108,14 +118,11 @@ class _PhraseTable:
 
     ``phrases[i]`` is the i-th (phrase, aspect position in ASPECT_SET_16)
     pair; a phrase of two aspects is two pairs. Phrase tokens are the phrase
-    split on single spaces, so a phrase token equals an atom exactly when
-    their strings are equal: a phrase with a doubled, leading or trailing
-    space gets an empty token, which no atom equals, and never matches.
-    ``tokens`` maps each phrase token to its id; ``len(tokens)``
-    stands for an atom that is no phrase token. ``body[i]`` holds phrase
-    ``i``'s token ids, -1 past its ``lengths[i]``; the phrases a token id
-    heads are ``headed[head_starts[t]:][:head_counts[t]]``. ``empty`` holds
-    the empty phrase's indices: it occurs in exactly the texts without atoms.
+    split on its single spaces, so a phrase token equals an atom exactly when
+    their strings are equal. ``tokens`` maps each phrase token to its id;
+    ``len(tokens)`` stands for an atom that is no phrase token. ``body[i]``
+    holds phrase ``i``'s token ids, -1 past its ``lengths[i]``; the phrases a
+    token id heads are ``headed[head_starts[t]:][:head_counts[t]]``.
     """
 
     def __init__(self, vocab: AspectVocabulary):
@@ -135,7 +142,6 @@ class _PhraseTable:
         self.headed = np.argsort(heads, kind="stable")
         self.head_counts = np.bincount(heads, minlength=len(self.tokens) + 1)
         self.head_starts = np.cumsum(self.head_counts) - self.head_counts
-        self.empty = np.array([i for i, (phrase, _) in enumerate(self.phrases) if not phrase], np.intp)
 
 
 @dataclass(frozen=True)
@@ -147,23 +153,14 @@ class AspectMatch:
 
 def load_vocabulary(data: bytes) -> AspectVocabulary:
     """Load a JSON vocabulary mapping aspect ids to phrase arrays."""
-    try:
-        obj = json.loads(data.decode("utf-8-sig"))
-    except json.JSONDecodeError as e:
-        raise VocabularyError(f"malformed vocabulary JSON: {e.msg}") from None
-    if not isinstance(obj, dict):
-        raise VocabularyError("vocabulary must be a JSON object")
     known = set(ASPECT_SET_16)
     phrases = {}
-    for aspect_id, entries in obj.items():
+    for aspect_id, entries in json_object(data, "vocabulary", VocabularyError).items():
         if aspect_id not in known:
             raise VocabularyError(f"unknown aspect id: {aspect_id!r}")
         if not isinstance(entries, list) or not entries:
             raise VocabularyError(f"empty phrase list for aspect {aspect_id!r}")
-        normalized = frozenset(_normalize_phrase(str(p)) for p in entries)
-        if "" in normalized:
-            raise VocabularyError(f"blank phrase for aspect {aspect_id!r}")
-        phrases[aspect_id] = normalized
+        phrases[aspect_id] = [str(p) for p in entries]
     return AspectVocabulary(phrases=phrases)
 
 
@@ -199,12 +196,7 @@ def match_block(ids, counts, vocab: AspectVocabulary) -> tuple[np.ndarray, np.nd
     start = place[head]
     text = tokens_mod.text_of(text_ends, start)
     found = start + table.lengths[phrase] <= text_ends[text]  # never across a text's end
-    text, phrase = text[found], phrase[found]
-    if table.empty.size:
-        bare = np.flatnonzero(np.diff(text_ends, prepend=0) == 0)
-        text = np.concatenate((text, np.repeat(bare, len(table.empty))))
-        phrase = np.concatenate((phrase, np.tile(table.empty, len(bare))))
-    return text, phrase
+    return text[found], phrase[found]
 
 
 def _phrase_atoms(ids, counts, table: _PhraseTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

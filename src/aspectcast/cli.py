@@ -17,9 +17,10 @@ from . import features as features_mod
 from .models import SPECS, ForecasterSpec, fit_spec, model_from_json, model_to_json, predict_with
 from .pipeline import (PipelineConfig, StageError, build_features, build_matrix, load_inputs,
                        read_input, run_pipeline, score_reviews)
+from .schema import json_object
 
 
-def _load_config(args, extra_overrides=None) -> PipelineConfig:
+def _load_config(args) -> PipelineConfig:
     overrides = {
         "out": getattr(args, "out", None),
         "seed": getattr(args, "seed", None),
@@ -27,7 +28,6 @@ def _load_config(args, extra_overrides=None) -> PipelineConfig:
     }
     if getattr(args, "no_lag", False):
         overrides["include_lag"] = False
-    overrides.update(extra_overrides or {})
     if getattr(args, "config", None):
         return PipelineConfig.from_file(args.config, overrides)
     return PipelineConfig.from_dict({}, overrides)
@@ -83,13 +83,11 @@ def cmd_fit(args) -> None:
     cfg = _load_config(args)
     matrix = _read_features(args)
     try:
-        params = json.loads(args.params) if args.params else {}
+        params = json_object(args.params.encode(), "--params") if args.params else {}
     except json.JSONDecodeError as e:
         raise StageError("fit", f"--params: malformed JSON ({e})") from None
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise StageError("fit", "--params nested too deeply to parse") from None
-    if not isinstance(params, dict):
-        raise StageError("fit", "--params must be a JSON object")
     # not make(**params): a param named like one of make's arguments is an unknown key
     spec = ForecasterSpec(kind=args.kind, label=args.kind, seed=cfg.seed,
                           params=tuple(sorted(params.items())))

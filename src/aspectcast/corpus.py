@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -44,9 +43,8 @@ class Quarter:
             raise CorpusError(f"invalid quarter index: {self.index}")
 
     @classmethod
-    @functools.lru_cache(maxsize=1024)
     def parse(cls, label: str) -> "Quarter":
-        """The quarter a ``YYYYQn`` label names; equal labels share one (frozen) instance."""
+        """The quarter a ``YYYYQn`` label names."""
         m = _QUARTER_RE.match(label.strip())
         if not m:
             raise CorpusError(f"invalid quarter label: {label!r} (expected YYYYQn)")

@@ -158,6 +158,9 @@ def assemble(
     for aid in aspect_ids:
         if aid not in ASPECT_SET_16:
             raise FeatureError(f"unknown aspect id: {aid!r}")
+    duplicate = sorted({aid for aid in aspect_ids if aspect_ids.count(aid) > 1})
+    if duplicate:
+        raise FeatureError(f"duplicate aspect ids: {duplicate}")
     lookup = {(p.aspect_id, p.quarter): p.perception for p in perceptions}
 
     if include_lag:

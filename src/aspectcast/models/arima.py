@@ -159,12 +159,12 @@ def fit_arima(series, orders: tuple) -> ArimaModel:
     check_fields(ArimaSpec(orders), FitError)
     p, d, q = orders
     y = np.asarray(series, dtype=float)
-    if len(y) <= d:
+    if d and len(y) <= d:  # with d = 0, an empty series fails the next check, which counts its points
         raise FitError(f"series too short to difference {d} times")
     w, tails = _difference(y, d)
     if len(w) < p + q + 2:
         raise FitError(
-            f"series too short for ARIMA{orders}: {len(w)} differenced points, need {p + q + 2}"
+            f"series too short for ARIMA({p}, {d}, {q}): {len(w)} differenced points, need {p + q + 2}"
         )
 
     use_const = d == 0

@@ -44,19 +44,6 @@ class LinearModel:
         return self.intercept + X @ np.asarray([self.coefficients[n] for n in self.selected_features])
 
 
-def _coefficients(X: np.ndarray, y: np.ndarray, columns: list):
-    """The least-squares fit with an intercept: ``(design, r, beta)``."""
-    n, k = X.shape
-    design = np.column_stack([np.ones(n), X])
-    q, r = np.linalg.qr(design)
-    diag = np.abs(np.diag(r))
-    tol = max(n, k + 1) * np.finfo(float).eps * (diag.max() if diag.size else 1.0)
-    if np.any(diag < tol):
-        bad = [("intercept" if j == 0 else columns[j - 1]) for j in np.where(diag < tol)[0]]
-        raise FitError(f"rank-deficient design, collinear columns: {bad}")
-    return design, r, np.linalg.solve(r, q.T @ y)
-
-
 def _continued_fraction(a: float, b: float, x: float) -> float:
     """The continued fraction of I_x(a, b), by modified Lentz (Numerical Recipes 6.4).
 
@@ -107,9 +94,16 @@ def _t_two_sided(dof: int, tstats: np.ndarray) -> np.ndarray:
 
 
 def _ols(X: np.ndarray, y: np.ndarray, columns: list):
-    """``_coefficients``'s beta with its two-sided p-values, for stepwise selection."""
+    """The least-squares fit with an intercept: ``(beta, two-sided p-values)``."""
     n, k = X.shape
-    design, r, beta = _coefficients(X, y, columns)
+    design = np.column_stack([np.ones(n), X])
+    q, r = np.linalg.qr(design)
+    diag = np.abs(np.diag(r))
+    tol = max(n, k + 1) * np.finfo(float).eps * (diag.max() if diag.size else 1.0)
+    if np.any(diag < tol):
+        bad = [("intercept" if j == 0 else columns[j - 1]) for j in np.where(diag < tol)[0]]
+        raise FitError(f"rank-deficient design, collinear columns: {bad}")
+    beta = np.linalg.solve(r, q.T @ y)
     residuals = y - design @ beta
     dof = n - (k + 1)
     if dof > 0:
@@ -143,12 +137,8 @@ def fit_lr(train: FeatureMatrix, selection: str = LrSpec.selection,
     while True:
         idx = [columns.index(c) for c in active]
         X = train.X[:, idx] if idx else np.empty((train.n_rows, 0))
-        if selection == "all":
-            # nothing reads p-values here, so none are computed
-            beta = _coefficients(X, train.y, active)[2]
-            break
         beta, pvalues = _ols(X, train.y, active)
-        if not active:
+        if selection == "all" or not active:
             break
         feature_p = pvalues[1:]  # skip intercept
         worst = int(np.argmax(feature_p)) if len(feature_p) else -1

@@ -11,6 +11,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
+from ..schema import json_object
 from .arima import ArimaModel
 from .linear import FitError, LinearModel
 from .mlp import MlpModel
@@ -43,9 +44,7 @@ def model_to_json(model) -> bytes:
 def model_from_json(data: bytes):
     """Rebuild a fitted model; a file that is not one, or holds a field its kind
     does not store, raises FitError."""
-    obj = json.loads(data.decode("utf-8-sig"))
-    if not isinstance(obj, dict):
-        raise FitError("model JSON must be an object")
+    obj = json_object(data, "model", FitError)
     kind = obj.get("kind")
     cls = _MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:

@@ -20,7 +20,7 @@ from . import tokens as tokens_mod
 from .evaluation import EvalReport, backtest
 from .features import SPLIT_RATIO, FeatureMatrix, GrowthSeries
 from .models import SPECS, ForecasterSpec
-from .schema import Key, key, keys, validate
+from .schema import Key, json_object, key, keys, validate
 
 __all__ = ["PipelineConfig", "StageError", "read_input", "load_inputs", "score_reviews",
            "build_perceptions", "build_features", "build_matrix", "run_pipeline",
@@ -66,13 +66,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
-        def parse(data):
-            obj = json.loads(data.decode("utf-8-sig"))
-            if not isinstance(obj, dict):
-                raise ValueError("top level must be a JSON object")
-            return obj
-
-        return cls.from_dict(read_input("config", path, parse), overrides, base=Path(path).parent)
+        obj = read_input("config", path, partial(json_object, what="config"))
+        return cls.from_dict(obj, overrides, base=Path(path).parent)
 
     @classmethod
     def from_dict(cls, obj: dict, overrides: dict | None = None, base: Path | None = None) -> "PipelineConfig":
@@ -125,7 +120,7 @@ MODEL_ENTRY_KEYS = (
 
 
 def resolve_aspect_set(value, of: str = "") -> list:
-    """The aspect ids an ``aspects`` value names; an id outside the 16 fails ``config``."""
+    """The aspect ids an ``aspects`` value names; an id outside the 16, or named twice, fails ``config``."""
     if value in (13, "13"):
         return list(aspects_mod.ASPECT_SET_13)
     if value in (16, "16"):
@@ -134,6 +129,9 @@ def resolve_aspect_set(value, of: str = "") -> list:
         unknown = [a for a in value if a not in aspects_mod.ASPECT_SET_16]
         if unknown:
             raise StageError("config", f"unknown aspect ids: {unknown}{of}")
+        duplicate = sorted({a for a in value if value.count(a) > 1})
+        if duplicate:
+            raise StageError("config", f"duplicate aspect ids: {duplicate}{of}")
         return list(value)
     raise StageError("config", f"bad aspect set: {value!r}")
 

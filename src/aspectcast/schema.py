@@ -1,16 +1,18 @@
 """Declared keys: the type, default and range of every config key, model param
 and sentiment heuristic, as dataclass fields made by ``key``, and the one
-check that reads them, ``validate``, which names the key a value fails."""
+check that reads them, ``validate``, which names the key a value fails; and
+``json_object``, which reads the JSON object that holds such keys."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
 
-__all__ = ["Key", "key", "keys", "validate", "check_fields"]
+__all__ = ["Key", "key", "keys", "validate", "check_fields", "json_object"]
 
 # type -> the Python types of its values, and what an error message calls one
 _TYPES = {"bool": (bool, "true or false"), "int": (int, "an integer"),
@@ -104,3 +106,16 @@ def validate(declared: tuple, values: dict, error, of: str = "") -> dict:
 def check_fields(instance, error) -> None:
     """``validate`` on the declared fields of a built dataclass."""
     validate(keys(type(instance)), {k.name: getattr(instance, k.name) for k in keys(type(instance))}, error)
+
+
+def json_object(data: bytes, what: str, error=ValueError) -> dict:
+    """The JSON object UTF-8 ``data`` holds, a leading byte-order mark dropped.
+
+    Bytes that are not UTF-8 or JSON raise ``UnicodeDecodeError`` or
+    ``json.JSONDecodeError``, which gives the line and column; any other JSON
+    value raises ``error``, naming ``what``.
+    """
+    obj = json.loads(data.decode("utf-8-sig"))
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object")
+    return obj

@@ -8,7 +8,6 @@ texts is scored at once, each heuristic a NumPy pass over the block's hits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -17,7 +16,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from . import tokens as tokens_mod
-from .schema import check_fields, key, keys, validate
+from .schema import check_fields, json_object, key, keys, validate
 from .tokens import _BOOSTER, _BUT, _CAPS, _DAMPENER, _MIXED, _NEGATION, _clean, text_of, token_ids
 
 __all__ = [
@@ -69,10 +68,7 @@ class HeuristicConfig:
     @classmethod
     def from_json(cls, data: bytes) -> "HeuristicConfig":
         """Default config with fields overridden from a JSON object."""
-        overrides = json.loads(data.decode("utf-8-sig"))
-        if not isinstance(overrides, dict):
-            raise ValueError("heuristics must be a JSON object")
-        return cls(**validate(keys(cls), overrides, ValueError))
+        return cls(**validate(keys(cls), json_object(data, "heuristics"), ValueError))
 
 
 def load_lexicon(data: bytes) -> SentimentLexicon:

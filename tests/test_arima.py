@@ -70,6 +70,16 @@ class TestFit:
         with pytest.raises(FitError, match="too short"):
             fit_arima(np.array([1.0, 2.0]), (1, 0, 0))
 
+    @pytest.mark.parametrize("series, orders, message", [
+        ([], (1, 0, 0), "series too short for ARIMA(1, 0, 0): 0 differenced points, need 3"),
+        ([1.0, 2.0], [1, 0, 0], "series too short for ARIMA(1, 0, 0): 2 differenced points, need 3"),
+        ([1.0, 2.0], (0, 2, 1), "series too short to difference 2 times"),
+    ])
+    def test_too_short_message(self, series, orders, message):
+        with pytest.raises(FitError) as e:
+            fit_arima(np.array(series), orders)
+        assert str(e.value) == message
+
     def test_residuals_match_coefficients(self):
         y = simulate_ar1(60, phi=0.5, seed=7)
         model = fit_arima(y, (1, 0, 0))

@@ -76,6 +76,21 @@ class TestLoadVocabulary:
             assert vocab.for_aspect(aspect_id)
 
 
+class TestAspectVocabulary:
+    def test_phrases_built_in_code_are_normalized(self):
+        vocab = AspectVocabulary(phrases={"cost_savings": ["  Pay  As\tYou Go ", "pay as you go", "CHEAP"]})
+        assert vocab.phrases == {"cost_savings": frozenset({"pay as you go", "cheap"})}
+        matches = match_aspects(review("Cheap, and we pay as you  go"), vocab)
+        assert [m.matched_phrases for m in matches] == [{"pay as you go", "cheap"}]
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\t\n"])
+    def test_blank_phrase(self, blank):
+        with pytest.raises(VocabularyError, match="^blank phrase for aspect 'cost_savings'$"):
+            AspectVocabulary(phrases={"cost_savings": ["cheap", blank]})
+        with pytest.raises(VocabularyError, match="^blank phrase for aspect 'cost_savings'$"):
+            load_vocabulary(json.dumps({"cost_savings": ["cheap", blank]}).encode())
+
+
 class TestMatchAspects:
     def test_single_word_phrase(self):
         vocab = default_vocabulary()

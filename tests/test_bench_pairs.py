@@ -34,3 +34,15 @@ def test_summary_counts_wins_and_quartiles():
     assert sweep["metrics"]["run_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
     assert (sweep["metrics"]["run_s"]["wins"], sweep["metrics"]["run_s"]["losses"]) == (0, 1)
     assert bench_pairs.seeds(["500-502", "4099"]) == [500, 501, 502, 4099]
+
+
+def test_summary_lines_show_every_workload_and_metric():
+    pairs = [{"runs": {w: {"parent": run(100, 0.5), "change": run(110, 0.4)} for w in bench_pairs.WORKLOADS}}]
+    summary = bench_pairs.summarize(pairs, {"reviews_per_s": "higher", "run_s": "lower"})
+    lines = bench_pairs.summary_lines("seeds", summary)
+    assert len(lines) == 4
+    assert lines[0] == ("seeds text-unique reviews_per_s (higher is better): parent 100 [100, 100] -> change 110; "
+                        "won 1, lost 0 of 1 pairs")
+    assert lines[3] == "seeds model-sweep run_s (lower is better): parent 0.5 [0.5, 0.5] -> change 0.4; won 1, lost 0 of 1 pairs"
+    assert bench_pairs.summary_lines("held-out", bench_pairs.summarize([], {"run_s": "lower"}))[0] == (
+        "held-out text-unique run_s (lower is better): parent - [-, -] -> change -; won 0, lost 0 of 0 pairs")

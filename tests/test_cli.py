@@ -132,6 +132,16 @@ class TestStages:
         # 8 quarters -> 7 growth values -> 6 rows once the lag drops the first
         assert len(lines) == 7
 
+    def test_features_of_an_aspect_id_list(self, tmp_path):
+        config = write_small_corpus(tmp_path)
+        aspects = ["security_concerns", "cost_savings"]
+        config.write_text(json.dumps(dict(json.loads(config.read_text()), aspects=aspects)))
+        out = tmp_path / "out"
+        assert main(["features", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "features.csv").read_text().splitlines()
+        assert lines[0] == "quarter,security_concerns,cost_savings,lagged_growth,target_growth"
+        assert all(float(row.split(",")[2]) > 0 for row in lines[1:])  # each quarter praises cost
+
     def test_parser_reuse_leaks_no_flags(self, tmp_path):
         out = tmp_path / "out"
         assert main(["features", "--no-lag", "--aspects", "13", "--out", str(out / "13")]) == 0
@@ -418,6 +428,9 @@ class TestErrors:
     @pytest.mark.parametrize("rows, problem", [
         ("revenue,quarter\n110\n", "line 2: missing quarter"),
         ("quarter,revenue\n2020Q4,100\n2020Q5,110\n", "line 3: invalid quarter label: '2020Q5'"),
+        ("when,revenue\n2020Q4,100\n", "CSV header must contain quarter,revenue"),
+        ("quarter,revenue\n2020Q4,1e2\n2021Q1,lots\n", "line 3: non-numeric revenue 'lots'"),
+        ("quarter,revenue\n2020Q4,100\n2021Q1,110\n2020Q4,100\n", "duplicate quarter in revenue file"),
     ])
     def test_bad_revenue_quarter(self, tmp_path, capsys, rows, problem):
         config = write_small_corpus(tmp_path)
@@ -847,6 +860,27 @@ class TestErrors:
         assert f"error [evaluate] {predictions} line {len(lines) + 1}: duplicate quarter {first!r}" in err
         assert not (out / "report.csv").exists()
 
+    def test_predictions_missing_a_quarter(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text("quarter,predicted\n2016Q3,0.01\n2016Q4,0.02\n")
+        assert main([
+            "evaluate", "--features", str(out / "features.csv"),
+            "--predictions", str(predictions), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "error [evaluate] predictions missing quarters: ['2017Q1', '2017Q2', '2017Q3', '2017Q4']" in err
+        assert not (out / "report.csv").exists()
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["ingest", "--out", str(out)]) == 1
+        assert f"error [ingest] [Errno 17] File exists: {str(out)!r}" in capsys.readouterr().err
+        assert out.read_text() == ""
+
     def test_predictions_row_shorter_than_header(self, tmp_path, capsys):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "out"
@@ -862,8 +896,8 @@ class TestErrors:
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("model, named", [
-        ([1], "must be an object"),
-        ("lr", "must be an object"),
+        ([1], "model must be a JSON object"),
+        ("lr", "model must be a JSON object"),
         ({"kind": "lr"}, "lr model is missing field 'intercept'"),
         ({"kind": "arima", "orders": [1, 0, 0]}, "arima model is missing field 'constant'"),
         ({"kind": "lr", "intercept": 0.1, "coefficients": 5, "selected_features": []},
@@ -948,6 +982,29 @@ class TestErrors:
         assert f"error [ingest] {tmp_path / 'revenue.csv'}: line 2: non-positive revenue" in err
         assert "reviews.jsonl" not in err
 
+    @pytest.mark.parametrize("what", ["config", "vocabulary", "heuristics", "model"])
+    @pytest.mark.parametrize("text, problem", [
+        ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[1]", "{what} must be a JSON object"),
+    ], ids=["malformed", "not-an-object"])
+    def test_json_object_input(self, tmp_path, capsys, what, text, problem):
+        # every JSON-object input fails alike, naming its file and keeping the position
+        config = write_small_corpus(tmp_path)
+        path = tmp_path / f"{what}.json"
+        stage, argv = "ingest", ["ingest", "--config", str(config)]
+        if what == "config":
+            stage, path = "config", config
+        elif what == "model":
+            assert main(["features", "--config", str(config), "--out", str(tmp_path)]) == 0
+            stage, argv = "predict", ["predict", "--model", str(path), "--features", str(tmp_path / "features.csv")]
+        else:
+            config.write_text(json.dumps(dict(json.loads(config.read_text()), **{what: path.name})))
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"error [{stage}] {path}: {problem.format(what=what)}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("models", [None, [{"kind": "lr", "label": "LR", "aspects": ["bogus"]}]])
     @pytest.mark.parametrize("command", ["ingest", "sentiment", "features", "pipeline"])
     def test_unknown_aspect_ids(self, tmp_path, capsys, command, models):
@@ -961,6 +1018,38 @@ class TestErrors:
         assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert f"error [config] {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry", [None, {"kind": "lr", "label": "LR"}, {"kind": "svr", "label": "SVM"}])
+    @pytest.mark.parametrize("command", ["features", "pipeline"])
+    def test_duplicate_aspect_ids(self, tmp_path, capsys, command, entry):
+        twice = ["cost_savings", "security_concerns", "cost_savings"]
+        config = tmp_path / "config.json"
+        if entry is None:
+            config.write_text(json.dumps({"aspects": twice, "models": [{"kind": "lr"}]}))
+            named = "duplicate aspect ids: ['cost_savings']"
+        else:
+            config.write_text(json.dumps({"models": [dict(entry, aspects=twice)]}))
+            named = f"duplicate aspect ids: ['cost_savings'] of model {entry['label']!r}"
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error [config] {named}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["header-only features", "4-quarter revenue"])
+    def test_arima_series_too_short(self, tmp_path, capsys, source):
+        config = write_small_corpus(tmp_path, quarters=4)  # an ARIMA (1, 0, 0) model, orders as a list
+        out = tmp_path / "out"
+        if source == "header-only features":
+            features = tmp_path / "features.csv"
+            features.write_text("quarter,cost_savings,lagged_growth,target_growth\n")
+            argv = ["fit", "--features", str(features), "--kind", "arima", "--params", '{"orders": [1, 0, 0]}']
+            points = 0
+        else:
+            argv = ["pipeline", "--config", str(config)]
+            points = 2  # 3 growth quarters, the first dropped for its lag
+        assert main(argv + ["--out", str(out)]) == 1
+        assert (f"series too short for ARIMA(1, 0, 0): {points} differenced points, need 3\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_model_file_with_unknown_field(self, tmp_path, capsys):
         assert main(["features", "--out", str(tmp_path)]) == 0

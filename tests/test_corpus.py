@@ -30,9 +30,12 @@ class TestQuarter:
             Quarter.parse("Q42016")
 
     def test_equal_labels_share_one_instance(self):
-        assert Quarter.parse("2016Q4") is Quarter.parse("2016Q4")
-        assert Quarter.parse("2016Q4") == Quarter(2016, 4)
-        assert Quarter.parse("2017Q1") is not Quarter.parse("2016Q4")
+        # within one parse, the reviews of a label share its Quarter
+        labels = ["2016Q4", "2017Q1", "2016Q4", "2017Q1"]
+        data = "".join(json.dumps({"id": i, "quarter": q, "text": "ok"}) + "\n" for i, q in enumerate(labels))
+        a, b, c, d = parse_reviews(data.encode())
+        assert a.quarter is c.quarter and b.quarter is d.quarter
+        assert a.quarter == Quarter(2016, 4) and b.quarter == Quarter(2017, 1)
 
     @pytest.mark.parametrize("label", ["2016Q5", "2016Q0", "Q42016", "", "2016q4"])
     def test_bad_labels_still_rejected(self, label):

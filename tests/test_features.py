@@ -125,6 +125,11 @@ class TestAssemble:
         with pytest.raises(FeatureError, match="unknown aspect id: 'bogus'"):
             assemble(recs, growth, ["cost_savings", "bogus"], include_lag=False)
 
+    def test_duplicate_aspect(self):
+        with pytest.raises(FeatureError, match=r"duplicate aspect ids: \['cost_savings'\]"):
+            assemble([], make_growth([0.1, 0.2]), ["cost_savings", "lack_of_control", "cost_savings"],
+                     include_lag=False)
+
     def test_13_vs_16_columns(self):
         from aspectcast.aspects import ASPECT_SET_13, ASPECT_SET_16
 

@@ -129,6 +129,7 @@ class TestPredictLr:
 
         model = LinearModel(intercept=0.0, coefficients={}, selected_features=[])
         assert predict_lr(model, {"anything": 5.0}) == 0.0
+        assert model.predict(matrix(np.ones((3, 2)), np.zeros(3))).tolist() == [0.0, 0.0, 0.0]
 
     def test_missing_feature(self):
         model = load_reference_model("lr16")

@@ -9,9 +9,8 @@ continued fraction, so they agree to rounding: their nan, inf and zero
 positions match exactly, other values within a relative 1e-12 where the
 reference is below 0.999, and within 1e-8 above it, where the reference itself
 loses digits (at one degree of freedom and |t| < 1e-8 it returns 1.0 for
-1 - 2|t|/pi). An all-features fit computes no p-values, and
-``TestGeneratedEquivalence.test_all`` checks that it still returns the frozen
-fit's coefficients.
+1 - 2|t|/pi). ``TestGeneratedEquivalence.test_all`` checks that an
+all-features fit still returns the frozen fit's coefficients.
 """
 
 import numpy as np
@@ -247,7 +246,6 @@ class TestGeneratedEquivalence:
     @example((np.ones((6, 2)), np.arange(6.0)))
     @settings(max_examples=300, deadline=None)
     def test_all(self, design):
-        # "all" computes no p-values; the reference still does
         X, y = design
         with np.errstate(all="ignore"):
             assert_same_fit(matrix(X, y), "all", 0.3)

@@ -37,6 +37,10 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="line 1"):
             load_lexicon(b"bad\tx")
 
+    def test_line_without_a_tab(self):
+        with pytest.raises(LexiconError, match="^line 2: expected token<TAB>valence$"):
+            load_lexicon(b"good\t1.9\nbad -1.5\n")
+
     def test_later_duplicate_wins(self):
         assert load_lexicon(b"ok\t0.5\nok\t0.9") == {"ok": 0.9}
 

@@ -288,6 +288,12 @@ class TestPerceptionEquivalence:
     def test_generated_corpus(self, reviews, heuristics):
         assert_same_perceptions(reviews, heuristics)
 
+    @pytest.mark.parametrize("texts", [[], ["we moved", "terrible!!"]], ids=["none", "unmatched"])
+    def test_no_matched_review_gives_no_perception(self, texts):
+        reviews = [Review(f"r{i}", Quarter(2016, 1), text) for i, text in enumerate(texts)]
+        assert build_perceptions(reviews, VOCAB, LEXICON, HeuristicConfig()) == []
+        assert_same_perceptions(reviews)
+
     def test_unmatched_reviews_are_not_scored(self, monkeypatch):
         reviews = bundled_reviews() + [Review("x1", Quarter(2016, 4), "We love it!!"),
                                        Review("x2", Quarter(2017, 1), "terrible")]
@@ -375,7 +381,8 @@ class TestReviewStream:
             tracemalloc.stop()
         assert len(perceptions) > 100
         # parsing the bytes into a list first held the bytes and every review
-        # at once, 1.8 times the list's size; the stream peaks at 0.8 times it
+        # at once, 1.8 times the list's size; the stream peaked at 767,635 of
+        # 804,918 bytes, 0.95 times it, when measured: a margin of 5%
         assert peak < retained
 
     def test_run_pipeline_never_parses_bytes(self, monkeypatch, tmp_path):
