@@ -19,7 +19,8 @@ Its summary gives, per workload and metric, each side's median and quartiles
 and the pairs the change won and lost (ties count for neither), once over
 the ``--seeds`` pairs and once over the ``--held-out`` pairs. A run that
 fails outright is recorded with its error, and its pair counts in no summary.
-At the end the script prints one line per summary, workload and metric.
+At the end the script prints one line per workload and metric of each
+summary that holds a pair.
 """
 
 from __future__ import annotations
@@ -205,7 +206,8 @@ def main() -> int:
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     for name, summary in record["summary"].items():
-        print("\n".join(summary_lines(name, summary)))
+        if any(result["pairs"] for result in summary.values()):
+            print("\n".join(summary_lines(name, summary)))
     return 0
 
 

@@ -84,7 +84,8 @@ def cmd_fit(args) -> None:
     matrix = _read_features(args)
     try:
         params = json_object(args.params.encode(), "--params") if args.params else {}
-    except json.JSONDecodeError as e:
+    # an argument that is not UTF-8 holds lone surrogates, which do not encode
+    except (json.JSONDecodeError, UnicodeEncodeError) as e:
         raise StageError("fit", f"--params: malformed JSON ({e})") from None
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise StageError("fit", "--params nested too deeply to parse") from None

@@ -770,7 +770,7 @@ class TestErrors:
         assert "error [fit] model 'LR': failed to fit: too few rows" in err
         assert err.count("'LR'") == 1
 
-    @pytest.mark.parametrize("params", ["[1]", '"gamma"', "5", "null", "{bad"])
+    @pytest.mark.parametrize("params", ["[1]", '"gamma"', "5", "null", "{bad", '{"\udcff": 1}'])
     def test_fit_params_not_an_object(self, tmp_path, capsys, params):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "out"
@@ -780,7 +780,10 @@ class TestErrors:
             "--params", params, "--out", str(out),
         ]) == 1
         why = {"{bad": "--params: malformed JSON (Expecting property name enclosed in double quotes: "
-                       "line 1 column 2 (char 1))"}.get(params, "--params must be a JSON object")
+                       "line 1 column 2 (char 1))",
+               # an argument that is not UTF-8 holds a lone surrogate
+               '{"\udcff": 1}': "--params: malformed JSON ('utf-8' codec can't encode character '\\udcff' "
+                                 "in position 2: surrogates not allowed)"}.get(params, "--params must be a JSON object")
         assert f"error [fit] {why}" in capsys.readouterr().err
         assert not (out / "model_svr.json").exists()
 
