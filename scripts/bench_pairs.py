@@ -15,8 +15,9 @@ under ``src/`` and ``perfbench/``, untracked ones included.
 
 The record holds the commit pair, the seeds, each pair's order, and every
 run's end-to-end metrics with its ``correct``, ``failed`` and ``attempted``.
-Its summary gives, per workload and metric, each side's median and quartiles
-and the pairs the change won and lost (ties count for neither), once over
+Its summary gives, per workload and metric, each side's median and quartiles,
+the pairs the change won and lost (ties count for neither), and each pair's
+change/parent ratio with the ratios' median and quartiles, once over
 the ``--seeds`` pairs and once over the ``--held-out`` pairs. A run that
 fails outright is recorded with its error, and its pair counts in no summary.
 At the end the script prints one line per workload and metric of each
@@ -120,12 +121,15 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             sign = 1 if direction == "higher" else -1
             parent = [a["metrics"][name] for a, _ in runs]
             change = [b["metrics"][name] for _, b in runs]
+            ratios = [b / a if a else None for a, b in zip(parent, change)]  # a parent 0 has no ratio
             metrics[name] = {
                 "better": direction,
                 "parent": quartiles(parent),
                 "change": quartiles(change),
                 "wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
                 "losses": sum(sign * (b - a) < 0 for a, b in zip(parent, change)),
+                "ratios": ratios,
+                "ratio": quartiles([r for r in ratios if r is not None]),
             }
         summary[workload] = {"pairs": len(runs), "all_correct": all(a["correct"] and b["correct"] for a, b in runs),
                              "failed": sum(a["failed"] + b["failed"] for a, b in runs), "metrics": metrics}
@@ -134,17 +138,19 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def summary_lines(name: str, summary: dict) -> list[str]:
     """``summarize``'s result as one line per workload and metric: both
-    medians, the parent's quartiles, and the pairs the change won and lost."""
+    medians, the parent's quartiles, the pairs the change won and lost, and
+    the median and quartiles of the pairs' change/parent ratios."""
     def g(value):
         return "-" if value is None else f"{value:.6g}"
 
     lines = []
     for workload, result in summary.items():
         for metric, m in result["metrics"].items():
-            parent, change = m["parent"], m["change"]
+            parent, change, ratio = m["parent"], m["change"], m["ratio"]
             lines.append(f"{name} {workload} {metric} ({m['better']} is better): parent {g(parent['median'])} "
                          f"[{g(parent['q1'])}, {g(parent['q3'])}] -> change {g(change['median'])}; "
-                         f"won {m['wins']}, lost {m['losses']} of {result['pairs']} pairs")
+                         f"won {m['wins']}, lost {m['losses']} of {result['pairs']} pairs; "
+                         f"change/parent {g(ratio['median'])} [{g(ratio['q1'])}, {g(ratio['q3'])}]")
     return lines
 
 

@@ -89,10 +89,11 @@ def _normalize_phrase(phrase: str) -> str:
 class AspectVocabulary:
     """Per-aspect phrase sets, lowercase and single-space normalized.
 
-    Building one normalizes each aspect's phrases into a frozenset; a phrase
-    that is blank once normalized raises ``VocabularyError``. ``phrases``
-    must not change once the vocabulary has matched a review: the phrase
-    table is built from it on first use and kept.
+    Building one normalizes each aspect's phrases into a frozenset; an
+    aspect id outside ``ASPECT_SET_16``, or a phrase that is blank once
+    normalized, raises ``VocabularyError``. ``phrases`` must not change
+    once the vocabulary has matched a review: the phrase table is built
+    from it on first use and kept.
     """
 
     phrases: dict  # aspect-id -> frozenset of phrases
@@ -100,6 +101,8 @@ class AspectVocabulary:
     def __post_init__(self):
         phrases = {}
         for aspect_id, entries in self.phrases.items():
+            if aspect_id not in ASPECT_SET_16:
+                raise VocabularyError(f"unknown aspect id: {aspect_id!r}")
             phrases[aspect_id] = frozenset(map(_normalize_phrase, entries))
             if "" in phrases[aspect_id]:
                 raise VocabularyError(f"blank phrase for aspect {aspect_id!r}")
@@ -153,11 +156,8 @@ class AspectMatch:
 
 def load_vocabulary(data: bytes) -> AspectVocabulary:
     """Load a JSON vocabulary mapping aspect ids to phrase arrays."""
-    known = set(ASPECT_SET_16)
     phrases = {}
     for aspect_id, entries in json_object(data, "vocabulary", VocabularyError).items():
-        if aspect_id not in known:
-            raise VocabularyError(f"unknown aspect id: {aspect_id!r}")
         if not isinstance(entries, list) or not entries:
             raise VocabularyError(f"empty phrase list for aspect {aspect_id!r}")
         phrases[aspect_id] = [str(p) for p in entries]

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -34,13 +31,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _read_features(args) -> features_mod.FeatureMatrix:
-    def parse(data):
-        try:
-            return features_mod.FeatureMatrix.from_csv(data)
-        except features_mod.FeatureError as e:  # e starts with its line number
-            raise StageError(args.command, f"{args.features} {e}") from None
-
-    return read_input(args.command, args.features, parse)
+    return read_input(args.command, args.features, features_mod.FeatureMatrix.from_csv)
 
 
 def _write(out_dir: Path, name: str, data: bytes) -> Path:
@@ -116,32 +107,12 @@ def cmd_evaluate(args) -> None:
     cfg = _load_config(args)
     matrix = _read_features(args)
 
-    def error(message):  # ``message`` starts with its line number
-        return StageError("evaluate", f"{args.predictions} {message}")
-
-    text = read_input("evaluate", args.predictions, lambda data: data.decode("utf-8-sig"))
-    reader = csv.DictReader(io.StringIO(text))  # a leading byte-order mark is dropped
-    predicted = {}
-    with corpus_mod.csv_errors(reader.reader, error):
-        absent = [c for c in ("quarter", "predicted") if c not in (reader.fieldnames or [])]
-        if absent:
-            raise StageError("evaluate", f"{args.predictions}: missing columns {absent}")
-        for row in reader:
-            try:
-                if None in (row["quarter"], row["predicted"]):
-                    raise ValueError("too few fields")
-                if row["quarter"] in predicted:
-                    raise ValueError(f"duplicate quarter {row['quarter']!r}")
-                value = float(row["predicted"])
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite predicted value {row['predicted']!r}")
-                predicted[row["quarter"]] = value
-            except ValueError as e:
-                raise error(f"line {reader.line_num}: {e}") from None
-    missing = [str(q) for q in matrix.quarters if str(q) not in predicted]
+    predicted = read_input("evaluate", args.predictions, lambda data: {
+        quarter: value for _, quarter, (value,) in corpus_mod.quarter_rows(data, ["predicted"])[1]})
+    missing = [str(q) for q in matrix.quarters if q not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")
-    row = eval_mod.score_row(args.label, matrix, [predicted[str(q)] for q in matrix.quarters])
+    row = eval_mod.score_row(args.label, matrix, [predicted[q] for q in matrix.quarters])
     report = eval_mod.EvalReport(rows=[row])
     _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(report))
     _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(report))

@@ -20,8 +20,8 @@ __all__ = [
     "iter_reviews",
     "parse_reviews",
     "parse_revenue",
+    "quarter_rows",
     "csv_bytes",
-    "csv_errors",
 ]
 
 _QUARTER_RE = re.compile(r"^(\d{4})Q([1-4])$")
@@ -193,7 +193,7 @@ def _csv_reviews(lines) -> Iterator[Review]:
     seen: set[str] = set()
     quarters: dict = {}
     reader = csv.DictReader(lines)
-    with csv_errors(reader.reader):
+    with _csv_errors(reader.reader):
         if reader.fieldnames is None or not {"id", "quarter", "text"} <= set(reader.fieldnames):
             raise CorpusError("CSV header must contain id,quarter,text")
         for idx, row in enumerate(reader, start=2):
@@ -202,7 +202,7 @@ def _csv_reviews(lines) -> Iterator[Review]:
 
 
 @contextmanager
-def csv_errors(reader, error=CorpusError):
+def _csv_errors(reader, error=CorpusError):
     """A ``csv.Error`` in the block, such as a field over the csv module's size
     limit, raises ``error("line N: malformed CSV (...)")`` at ``reader``'s line.
 
@@ -215,37 +215,72 @@ def csv_errors(reader, error=CorpusError):
         raise error(f"line {reader.line_num}: malformed CSV ({e})") from None
 
 
-def parse_revenue(data: bytes) -> RevenueSeries:
-    """Parse a ``quarter,revenue`` CSV into a sorted, contiguous RevenueSeries."""
-    reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig")))  # a leading byte-order mark is dropped
-    rows: list[tuple[Quarter, float]] = []
-    with csv_errors(reader.reader):
-        if reader.fieldnames is None or not {"quarter", "revenue"} <= set(reader.fieldnames):
-            raise CorpusError("CSV header must contain quarter,revenue")
+def quarter_rows(data: bytes, columns=None, error=CorpusError):
+    """The value columns and rows of a quarter-keyed CSV's bytes: revenue, features or predictions.
+
+    The first line is the header. It must name ``quarter`` and each of
+    ``columns``, which default to every other header column; the names of
+    the columns read come back first. The rows come second, as an iterator
+    of ``(line, quarter, values)``: ``line`` is the row's physical line and
+    ``values`` holds the row's ``columns`` as finite floats, in order. A
+    leading byte-order mark is dropped and blank lines are skipped.
+
+    A header fault raises ``error("line 1: ...")`` here, so before any row
+    fault. A row with another field count than the header's, a bad quarter
+    label or value, or a quarter named twice raises ``error("line N: ...")``
+    when the iteration reaches it.
+    """
+    reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))
+    with _csv_errors(reader, error):
+        header = next(reader, [])
+    missing = [c for c in ("quarter", *(columns or ())) if c not in header]
+    if missing:
+        raise error(f"line 1: missing columns {missing}")
+    if columns is None:
+        positions = [i for i, c in enumerate(header) if c != "quarter"]
+    else:
+        positions = [header.index(c) for c in columns]
+    return [header[i] for i in positions], _quarter_rows(reader, header, positions, error)
+
+
+def _quarter_rows(reader, header, positions, error):
+    at = header.index("quarter")
+    seen = set()
+    with _csv_errors(reader, error):
         for row in reader:
-            idx = reader.line_num  # the physical line: blank lines are skipped, not counted
-            if row["quarter"] is None:
-                raise CorpusError(f"line {idx}: missing quarter")
+            if not row:  # a blank line
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise error(f"line {line}: {len(row)} fields, header has {len(header)}")
             try:
-                quarter = Quarter.parse(row["quarter"])
+                quarter = Quarter.parse(row[at])
             except CorpusError as e:
-                raise CorpusError(f"line {idx}: {e}") from None
-            try:
-                value = float(row["revenue"])
-            except (TypeError, ValueError):
-                raise CorpusError(f"line {idx}: non-numeric revenue {row['revenue']!r}") from None
-            if not math.isfinite(value):
-                raise CorpusError(f"line {idx}: non-finite revenue {row['revenue']!r} for {quarter}")
-            if value <= 0:
-                raise CorpusError(f"line {idx}: non-positive revenue for {quarter}")
-            rows.append((quarter, value))
-    rows.sort(key=lambda qv: qv[0])
-    if len({q for q, _ in rows}) != len(rows):
-        raise CorpusError("duplicate quarter in revenue file")
-    return RevenueSeries(
-        quarters=tuple(q for q, _ in rows),
-        values=tuple(v for _, v in rows),
-    )
+                raise error(f"line {line}: {e}") from None
+            if quarter in seen:
+                raise error(f"line {line}: duplicate quarter {quarter}")
+            seen.add(quarter)
+            values = []
+            for i in positions:
+                try:
+                    value = float(row[i])
+                except ValueError as e:
+                    raise error(f"line {line}: {e} in column {header[i]!r}") from None
+                if not math.isfinite(value):
+                    raise error(f"line {line}: non-finite value {row[i]!r} in column {header[i]!r}")
+                values.append(value)
+            yield line, quarter, values
+
+
+def parse_revenue(data: bytes) -> RevenueSeries:
+    """Parse a ``quarter,revenue`` CSV, read by ``quarter_rows``, into a sorted, contiguous RevenueSeries."""
+    rows = []
+    for line, quarter, (value,) in quarter_rows(data, ["revenue"])[1]:
+        if value <= 0:
+            raise CorpusError(f"line {line}: non-positive revenue for {quarter}")
+        rows.append((quarter, value))
+    rows.sort()  # the quarters differ, so no two values are compared
+    return RevenueSeries(quarters=tuple(q for q, _ in rows), values=tuple(v for _, v in rows))
 
 
 def csv_bytes(header, rows) -> bytes:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aspects import ASPECT_SET_16
-from .corpus import Quarter, RevenueSeries, csv_errors
+from .corpus import Quarter, RevenueSeries, quarter_rows
 from .schema import Key
 
 __all__ = [
@@ -91,6 +91,9 @@ class FeatureMatrix:
             raise FeatureError("matrix shape does not match quarters/columns")
         if self.y.shape != (len(self.quarters),):
             raise FeatureError("target length does not match quarters")
+        for prev, cur in zip(self.quarters, self.quarters[1:]):
+            if cur <= prev:  # chronological_split takes row order as time
+                raise FeatureError(f"quarters must strictly ascend: {cur} follows {prev}")
 
     @property
     def n_rows(self) -> int:
@@ -115,32 +118,14 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, data: bytes) -> "FeatureMatrix":
-        reader = csv.reader(io.StringIO(data.decode("utf-8-sig")))  # a leading byte-order mark is dropped
-        with csv_errors(reader, FeatureError):
-            header = next(reader, None)
-            if not header or header[0] != "quarter" or header[-1] != "target_growth":
-                raise FeatureError("line 1: header must be quarter,<columns...>,target_growth")
-            columns = header[1:-1]
-            quarters, rows, targets = [], [], []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise FeatureError(f"line {reader.line_num}: {len(row)} fields, header has {len(header)}")
-                try:
-                    quarters.append(Quarter.parse(row[0]))
-                    values = [float(v) for v in row[1:]]
-                except ValueError as e:
-                    raise FeatureError(f"line {reader.line_num}: {e}") from None
-                bad = [j for j, v in enumerate(values, 1) if not math.isfinite(v)]
-                if bad:
-                    raise FeatureError(
-                        f"line {reader.line_num}: non-finite value {row[bad[0]]!r} in column {header[bad[0]]!r}"
-                    )
-                rows.append(values[:-1])
-                targets.append(values[-1])
-        X = np.asarray(rows, dtype=float).reshape(len(quarters), len(columns))
-        return cls(quarters=quarters, columns=columns, X=X, y=np.asarray(targets))
+        """The matrix of a ``quarter,<columns...>,target_growth`` CSV, read by ``quarter_rows``."""
+        columns, rows = quarter_rows(data, error=FeatureError)
+        if columns[-1:] != ["target_growth"]:
+            raise FeatureError("line 1: header must be quarter,<columns...>,target_growth")
+        rows = list(rows)
+        values = np.array([v for _, _, v in rows], dtype=float).reshape(len(rows), len(columns))
+        return cls(quarters=[q for _, q, _ in rows], columns=columns[:-1],
+                   X=values[:, :-1].copy(), y=values[:, -1].copy())
 
 
 def assemble(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, replace
 from functools import partial
@@ -301,14 +300,13 @@ def run_pipeline(cfg: PipelineConfig) -> EvalReport:
         entry = dict(entry)
         kind = entry.pop("kind")
         label = entry.pop("label", kind)
-        aspect_value = entry.pop("aspects", cfg.aspect_set)
+        aspect_ids = tuple(resolve_aspect_set(entry.pop("aspects", cfg.aspect_set)))
         seed = entry.pop("seed", cfg.seed)
         spec = ForecasterSpec.make(kind, label=label, seed=seed, **entry)
-        aspects_key = json.dumps(aspect_value)
-        if aspects_key not in matrices:
-            matrices[aspects_key] = build_matrix(cfg, growth, perceptions, aspect_value)
+        if aspect_ids not in matrices:
+            matrices[aspect_ids] = build_matrix(cfg, growth, perceptions, aspect_ids)
         try:
-            row = backtest(spec, matrices[aspects_key], cfg.split_ratio, growth=growth)
+            row = backtest(spec, matrices[aspect_ids], cfg.split_ratio, growth=growth)
         except Exception as e:  # backtest's errors do not name the model
             raise StageError("fit", f"model {label!r}: {e}") from None
         report.rows.append(row)

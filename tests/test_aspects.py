@@ -53,6 +53,9 @@ class TestLoadVocabulary:
     def test_unknown_aspect(self):
         with pytest.raises(VocabularyError, match="nope"):
             load_vocabulary(b'{"nope":["x"]}')
+        # one built in code is refused too, not kept and never matched
+        with pytest.raises(VocabularyError, match="^unknown aspect id: 'bogus'$"):
+            AspectVocabulary(phrases={"bogus": ["cheap"]})
 
     def test_empty_phrase_list(self):
         with pytest.raises(VocabularyError, match="empty"):

@@ -42,7 +42,18 @@ def test_summary_lines_show_every_workload_and_metric():
     lines = bench_pairs.summary_lines("seeds", summary)
     assert len(lines) == 4
     assert lines[0] == ("seeds text-unique reviews_per_s (higher is better): parent 100 [100, 100] -> change 110; "
-                        "won 1, lost 0 of 1 pairs")
-    assert lines[3] == "seeds model-sweep run_s (lower is better): parent 0.5 [0.5, 0.5] -> change 0.4; won 1, lost 0 of 1 pairs"
+                        "won 1, lost 0 of 1 pairs; change/parent 1.1 [1.1, 1.1]")
+    assert lines[3] == ("seeds model-sweep run_s (lower is better): parent 0.5 [0.5, 0.5] -> change 0.4; "
+                        "won 1, lost 0 of 1 pairs; change/parent 0.8 [0.8, 0.8]")
     assert bench_pairs.summary_lines("held-out", bench_pairs.summarize([], {"run_s": "lower"}))[0] == (
-        "held-out text-unique run_s (lower is better): parent - [-, -] -> change -; won 0, lost 0 of 0 pairs")
+        "held-out text-unique run_s (lower is better): parent - [-, -] -> change -; won 0, lost 0 of 0 pairs; "
+        "change/parent - [-, -]")
+
+
+def test_summary_ratios_per_pair():
+    # (parent, change) per pair; a pair with a parent of 0 has no ratio
+    rates = [(100, 110), (200, 180), (50, 60), (100, 100), (0, 5)]
+    pairs = [{"runs": {"text-unique": {"parent": run(a, 1.0), "change": run(b, 1.0)}}} for a, b in rates]
+    rate = bench_pairs.summarize(pairs, {"reviews_per_s": "higher"})["text-unique"]["metrics"]["reviews_per_s"]
+    assert rate["ratios"] == [1.1, 0.9, 1.2, 1.0, None]
+    assert rate["ratio"] == {"q1": 0.975, "median": 1.05, "q3": 1.125}

@@ -426,11 +426,12 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rows, problem", [
-        ("revenue,quarter\n110\n", "line 2: missing quarter"),
+        ("revenue,quarter\n110\n", "line 2: 1 fields, header has 2"),
         ("quarter,revenue\n2020Q4,100\n2020Q5,110\n", "line 3: invalid quarter label: '2020Q5'"),
-        ("when,revenue\n2020Q4,100\n", "CSV header must contain quarter,revenue"),
-        ("quarter,revenue\n2020Q4,1e2\n2021Q1,lots\n", "line 3: non-numeric revenue 'lots'"),
-        ("quarter,revenue\n2020Q4,100\n2021Q1,110\n2020Q4,100\n", "duplicate quarter in revenue file"),
+        ("when,revenue\n2020Q4,100\n", "line 1: missing columns ['quarter']"),
+        ("quarter,revenue\n2020Q4,1e2\n2021Q1,lots\n",
+         "line 3: could not convert string to float: 'lots' in column 'revenue'"),
+        ("quarter,revenue\n2020Q4,100\n2021Q1,110\n2020Q4,100\n", "line 4: duplicate quarter 2020Q4"),
     ])
     def test_bad_revenue_quarter(self, tmp_path, capsys, rows, problem):
         config = write_small_corpus(tmp_path)
@@ -467,17 +468,16 @@ class TestErrors:
         if command == "ingest":  # revenue.csv
             bad.write_text(f"quarter,revenue\n2016Q1,100\n2016Q2,{huge}\n")
             config.write_text(json.dumps({**json.loads(config.read_text()), "revenue": "bad.csv"}))
-            args, prefix = ["--config", str(config)], f"{bad}:"
+            args = ["--config", str(config)]
         elif command == "fit":  # features.csv
             bad.write_text(f"quarter,a,target_growth\n2016Q2,0.5,0.1\n2016Q3,{huge},0.2\n")
-            args, prefix = ["--features", str(bad), "--kind", "lr"], str(bad)
+            args = ["--features", str(bad), "--kind", "lr"]
         else:  # predictions.csv
             bad.write_text(f"quarter,predicted\n2016Q3,0.01\n2016Q4,{huge}\n")
             args = ["--features", str(out / "features.csv"), "--predictions", str(bad)]
-            prefix = str(bad)
         assert main([command, *args, "--out", str(tmp_path / "out2")]) == 1
         err = capsys.readouterr().err
-        assert (f"error [{command}] {prefix} line 3: malformed CSV "
+        assert (f"error [{command}] {bad}: line 3: malformed CSV "
                 f"(field larger than field limit ({csv.field_size_limit()}))") in err
         assert not (tmp_path / "out2").exists()
 
@@ -511,10 +511,12 @@ class TestErrors:
     @pytest.mark.parametrize("row, problem", [
         ("2016Q3,1.0", "2 fields, header has 3"),
         ("2016Q3,1.0,0.5,0.2", "4 fields, header has 3"),
-        ("2016Q3,abc,0.5", "could not convert string to float: 'abc'"),
+        ("2016Q3,abc,0.5", "could not convert string to float: 'abc' in column 'a'"),
         ("2016Q9,1.0,0.5", "invalid quarter label: '2016Q9'"),
         ("2016Q3,nan,0.5", "non-finite value 'nan' in column 'a'"),
         ("2016Q3,1.0,-inf", "non-finite value '-inf' in column 'target_growth'"),
+        ("2016Q2,1.0,0.5", "duplicate quarter 2016Q2"),
+        ("2016Q1,1.0,0.5", "quarters must strictly ascend: 2016Q1 follows 2016Q2"),  # no line: the whole matrix
     ])
     @pytest.mark.parametrize("command", ["fit", "predict", "evaluate"])
     def test_features_row_does_not_match_header(self, tmp_path, capsys, command, row, problem):
@@ -533,7 +535,8 @@ class TestErrors:
         assert main([command, "--features", str(features), *args,
                      "--out", str(tmp_path / "out2")]) == 1
         err = capsys.readouterr().err
-        assert f"error [{command}] {features} line 3: {problem}" in err
+        where = "" if "ascend" in problem else "line 3: "
+        assert f"error [{command}] {features}: {where}{problem}" in err
         assert not (tmp_path / "out2").exists()
 
     @pytest.mark.parametrize("value", [2.9, True, "3", None])
@@ -825,7 +828,8 @@ class TestErrors:
             "--predictions", str(predictions), "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
-        assert f"error [evaluate] {predictions} line 3: could not convert string to float: 'abc'" in err
+        assert (f"error [evaluate] {predictions}: line 3: could not convert string to float: 'abc' "
+                "in column 'predicted'") in err
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -840,7 +844,7 @@ class TestErrors:
             "--predictions", str(predictions), "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
-        assert f"error [evaluate] {predictions} line 3: non-finite predicted value {value!r}" in err
+        assert f"error [evaluate] {predictions}: line 3: non-finite value {value!r} in column 'predicted'" in err
         assert not (out / "report.csv").exists()
 
     def test_predictions_duplicate_quarter(self, tmp_path, capsys):
@@ -854,13 +858,13 @@ class TestErrors:
         predictions = out / "predictions.csv"
         lines = predictions.read_text().splitlines()
         first = lines[1].split(",")[0]
-        predictions.write_text("\n".join(lines + [f"{first},5.0"]) + "\n")
+        predictions.write_text("\n".join(lines + [f" {first} ,5.0"]) + "\n")  # the same quarter, padded
         assert main([
             "evaluate", "--features", str(features), "--predictions", str(predictions),
             "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
-        assert f"error [evaluate] {predictions} line {len(lines) + 1}: duplicate quarter {first!r}" in err
+        assert f"error [evaluate] {predictions}: line {len(lines) + 1}: duplicate quarter {first}" in err
         assert not (out / "report.csv").exists()
 
     def test_predictions_missing_a_quarter(self, tmp_path, capsys):
@@ -868,14 +872,20 @@ class TestErrors:
         out = tmp_path / "out"
         main(["features", "--config", str(config), "--out", str(out)])
         predictions = tmp_path / "predictions.csv"
-        predictions.write_text("quarter,predicted\n2016Q3,0.01\n2016Q4,0.02\n")
-        assert main([
-            "evaluate", "--features", str(out / "features.csv"),
-            "--predictions", str(predictions), "--out", str(out),
-        ]) == 1
-        err = capsys.readouterr().err
-        assert "error [evaluate] predictions missing quarters: ['2017Q1', '2017Q2', '2017Q3', '2017Q4']" in err
-        assert not (out / "report.csv").exists()
+        for rows, problem in [
+            # a padded label names its quarter, so only the four after 2016Q4 are missing
+            (" 2016Q3 ,0.01\n2016Q4 ,0.02\n",
+             "predictions missing quarters: ['2017Q1', '2017Q2', '2017Q3', '2017Q4']"),
+            # a label that names no quarter is refused, not passed over
+            ("2016Q3,0.01\n2016Q4,0.02\n2019Q5,0.03\n", f"{predictions}: line 4: invalid quarter label: '2019Q5'"),
+        ]:
+            predictions.write_text("quarter,predicted\n" + rows)
+            assert main([
+                "evaluate", "--features", str(out / "features.csv"),
+                "--predictions", str(predictions), "--out", str(out),
+            ]) == 1
+            assert f"error [evaluate] {problem}" in capsys.readouterr().err
+            assert not (out / "report.csv").exists()
 
     def test_out_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -895,7 +905,7 @@ class TestErrors:
             "--predictions", str(predictions), "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err
-        assert f"error [evaluate] {predictions} line 3: too few fields" in err
+        assert f"error [evaluate] {predictions}: line 3: 1 fields, header has 2" in err
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("model, named", [

@@ -253,7 +253,7 @@ class TestParseRevenue:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite(self, value):
         # nan <= 0 is false, so a positivity check alone lets nan through
-        with pytest.raises(CorpusError, match=f"line 3: non-finite revenue '{value}' for 2016Q1"):
+        with pytest.raises(CorpusError, match=f"line 3: non-finite value '{value}' in column 'revenue'"):
             parse_revenue(f"quarter,revenue\n2015Q4,100\n2016Q1,{value}\n".encode())
 
 

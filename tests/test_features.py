@@ -149,6 +149,15 @@ class TestAssemble:
         assert np.array_equal(m2.X, m.X)
         assert np.array_equal(m2.y, m.y)
 
+    @pytest.mark.parametrize("header, problem", [
+        ("quarter,a,growth", "line 1: header must be quarter,<columns...>,target_growth"),
+        ("when,a,target_growth", "line 1: missing columns ['quarter']"),
+    ])
+    def test_csv_header_fault_comes_before_row_faults(self, header, problem):
+        with pytest.raises(FeatureError) as caught:
+            FeatureMatrix.from_csv(f"{header}\n2016Q9,x\n2016Q9,x\n".encode())
+        assert str(caught.value) == problem
+
 
 class TestChronologicalSplit:
     def make_matrix(self, n):

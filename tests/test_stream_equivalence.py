@@ -390,8 +390,12 @@ class TestReviewStream:
             raise AssertionError("parse_reviews called")
 
         monkeypatch.setattr(corpus, "parse_reviews", refuse)
-        cfg = PipelineConfig.from_dict({"models": [{"kind": "lr", "label": "LR-13", "aspects": 13}]})
-        assert [row.label for row in pipeline.run_pipeline(cfg).rows] == ["LR-13"]
+        built, build_matrix = [], pipeline.build_matrix  # 13 and "13" name one aspect set: one matrix
+        monkeypatch.setattr(pipeline, "build_matrix", lambda *args: built.append(args[3]) or build_matrix(*args))
+        cfg = PipelineConfig.from_dict({"models": [{"kind": "lr", "label": "LR-13", "aspects": 13},
+                                                   {"kind": "lr", "label": "LR-'13'", "aspects": "13"}]})
+        assert [row.label for row in pipeline.run_pipeline(cfg).rows] == ["LR-13", "LR-'13'"]
+        assert len(built) == 1
 
     @pytest.mark.parametrize("n", [pipeline.READ_AHEAD - 1, pipeline.READ_AHEAD, 2 * pipeline.READ_AHEAD + 1])
     def test_every_review_is_read_across_blocks(self, tmp_path, n):
