@@ -81,8 +81,7 @@ def cmd_fit(args) -> None:
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise StageError("fit", "--params nested too deeply to parse") from None
     # not make(**params): a param named like one of make's arguments is an unknown key
-    spec = ForecasterSpec(kind=args.kind, label=args.kind, seed=cfg.seed,
-                          params=tuple(sorted(params.items())))
+    spec = ForecasterSpec(kind=args.kind, seed=cfg.seed, params=tuple(sorted(params.items())))
     try:
         model = fit_spec(spec, matrix)
     except Exception as e:
@@ -112,18 +111,17 @@ def cmd_evaluate(args) -> None:
     missing = [str(q) for q in matrix.quarters if q not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")
-    row = eval_mod.score_row(args.label, matrix, [predicted[q] for q in matrix.quarters])
-    report = eval_mod.EvalReport(rows=[row])
-    _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(report))
-    _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(report))
+    rows = [eval_mod.score_row(args.label, matrix, [predicted[q] for q in matrix.quarters])]
+    _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(rows))
+    _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(rows))
 
 
 def cmd_pipeline(args) -> None:
     cfg = _load_config(args)
-    report = run_pipeline(cfg)
-    _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(report))
-    _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(report))
-    _write(cfg.out_dir, "plot_data.csv", eval_mod.emit_plot_csv(report))
+    rows = run_pipeline(cfg)
+    _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(rows))
+    _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(rows))
+    _write(cfg.out_dir, "plot_data.csv", eval_mod.emit_plot_csv(rows))
 
 
 @functools.cache  # built once per process; each parse_args fills a new namespace

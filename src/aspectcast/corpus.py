@@ -219,11 +219,12 @@ def quarter_rows(data: bytes, columns=None, error=CorpusError):
     """The value columns and rows of a quarter-keyed CSV's bytes: revenue, features or predictions.
 
     The first line is the header. It must name ``quarter`` and each of
-    ``columns``, which default to every other header column; the names of
-    the columns read come back first. The rows come second, as an iterator
-    of ``(line, quarter, values)``: ``line`` is the row's physical line and
-    ``values`` holds the row's ``columns`` as finite floats, in order. A
-    leading byte-order mark is dropped and blank lines are skipped.
+    ``columns``, which default to every other header column, and name no
+    column twice; the names of the columns read come back first. The rows
+    come second, as an iterator of ``(line, quarter, values)``: ``line`` is
+    the row's physical line and ``values`` holds the row's ``columns`` as
+    finite floats, in order. A leading byte-order mark is dropped and blank
+    lines are skipped.
 
     A header fault raises ``error("line 1: ...")`` here, so before any row
     fault. A row with another field count than the header's, a bad quarter
@@ -236,6 +237,9 @@ def quarter_rows(data: bytes, columns=None, error=CorpusError):
     missing = [c for c in ("quarter", *(columns or ())) if c not in header]
     if missing:
         raise error(f"line 1: missing columns {missing}")
+    duplicate = sorted({c for c in header if header.count(c) > 1})
+    if duplicate:
+        raise error(f"line 1: duplicate columns {duplicate}")
     if columns is None:
         positions = [i for i, c in enumerate(header) if c != "quarter"]
     else:

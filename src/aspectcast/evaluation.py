@@ -16,7 +16,6 @@ from .models import forecast_arima  # noqa: F401  perfbench/tracing.py wraps thi
 __all__ = [
     "MetricError",
     "EvalRow",
-    "EvalReport",
     "mse",
     "rmse",
     "theils_u",
@@ -96,11 +95,6 @@ class EvalRow:
     predicted: list = field(default_factory=list)
 
 
-@dataclass
-class EvalReport:
-    rows: list = field(default_factory=list)
-
-
 def score_row(label: str, matrix: FeatureMatrix, predicted, history: float | None = None) -> EvalRow:
     """The report row of ``predicted`` against the targets of ``matrix``.
 
@@ -141,12 +135,12 @@ def _fmt(value: float) -> str:
     return f"{value:.{REPORT_DECIMALS}f}"
 
 
-def emit_report_csv(report: EvalReport) -> bytes:
+def emit_report_csv(rows: list[EvalRow]) -> bytes:
     return csv_bytes(["model", "mse", "rmse", "theils_u"],
-                     ([row.label, _fmt(row.mse), _fmt(row.rmse), _fmt(row.theils_u)] for row in report.rows))
+                     ([row.label, _fmt(row.mse), _fmt(row.rmse), _fmt(row.theils_u)] for row in rows))
 
 
-def emit_report_json(report: EvalReport) -> bytes:
+def emit_report_json(rows: list[EvalRow]) -> bytes:
     obj = [
         {
             "model": row.label,
@@ -157,16 +151,16 @@ def emit_report_json(report: EvalReport) -> bytes:
             "actual": [round(v, REPORT_DECIMALS) for v in row.actual],
             "predicted": [round(v, REPORT_DECIMALS) for v in row.predicted],
         }
-        for row in report.rows
+        for row in rows
     ]
     return json.dumps(obj, indent=2).encode("utf-8")
 
 
-def emit_plot_csv(report: EvalReport) -> bytes:
+def emit_plot_csv(rows: list[EvalRow]) -> bytes:
     """Actual-vs-predicted series: ``quarter,actual,<model labels...>``."""
-    quarters = report.rows[0].quarters if report.rows else []
-    if any(row.quarters != quarters for row in report.rows):
+    quarters = rows[0].quarters if rows else []
+    if any(row.quarters != quarters for row in rows):
         raise MetricError("plot data requires all rows to share test quarters")
-    return csv_bytes(["quarter", "actual", *(row.label for row in report.rows)],
-                     ([q, _fmt(report.rows[0].actual[i]), *(_fmt(r.predicted[i]) for r in report.rows)]
+    return csv_bytes(["quarter", "actual", *(row.label for row in rows)],
+                     ([q, _fmt(rows[0].actual[i]), *(_fmt(r.predicted[i]) for r in rows)]
                       for i, q in enumerate(quarters)))

@@ -170,21 +170,11 @@ def fit_arima(series, orders: tuple) -> ArimaModel:
     use_const = d == 0
     n_params = (1 if use_const else 0) + p + q
 
-    if n_params == 0:
-        return ArimaModel(
-            orders=(p, d, q),
-            constant=0.0,
-            ar_coefs=np.empty(0),
-            ma_coefs=np.empty(0),
-            diffed=w,
-            residuals=w.copy(),
-            last_levels=tails,
-        )
-
-    start = np.zeros(n_params)
+    params = np.zeros(n_params)
     if use_const:
-        start[0] = w.mean()
-    params, _ = lm_minimize(start, _residual_fn(w, p, q, use_const), max_steps=300)
+        params[0] = w.mean()
+    if n_params:  # a (0, d, 0) model has nothing to fit: its residuals are w
+        params, _ = lm_minimize(params, _residual_fn(w, p, q, use_const), max_steps=300)
     constant, ar, ma = _split_params(params, p, q, use_const)
     eps = _css_residuals(w, constant, ar, ma)
 

@@ -16,13 +16,13 @@ from . import corpus as corpus_mod
 from . import features as features_mod
 from . import sentiment as sentiment_mod
 from . import tokens as tokens_mod
-from .evaluation import EvalReport, backtest
+from .evaluation import EvalRow, backtest
 from .features import SPLIT_RATIO, FeatureMatrix, GrowthSeries
 from .models import SPECS, ForecasterSpec
 from .schema import Key, json_object, key, keys, validate
 
 __all__ = ["PipelineConfig", "StageError", "read_input", "load_inputs", "score_reviews",
-           "build_perceptions", "build_features", "build_matrix", "run_pipeline",
+           "build_perceptions", "build_features", "build_matrix", "model_run", "run_pipeline",
            "DEFAULT_MODELS"]
 
 
@@ -56,7 +56,7 @@ class PipelineConfig:
     vocabulary_path: Path | None = key(None, "path", name="vocabulary")
     lexicon_path: Path | None = key(None, "path", name="lexicon")
     heuristics_path: Path | None = key(None, "path", name="heuristics")
-    aspect_set: object = key(16, "aspects", name="aspects")
+    aspect_set: tuple = key(16, "aspects", name="aspects")  # loaded as the tuple of ids it names
     include_lag: bool = key(True, "bool")
     split_ratio: tuple = SPLIT_RATIO.as_field()
     seed: int = key(0, "int")
@@ -74,16 +74,12 @@ class PipelineConfig:
         for name, value in (overrides or {}).items():
             if value is not None:
                 merged[name] = value
-        error = partial(StageError, "config")
-        values = validate(keys(cls), merged, error)
-        resolve_aspect_set(values["aspects"])
-        for entry in values["models"]:
-            if not isinstance(entry, dict) or entry.get("kind") not in SPECS:
-                raise error(f"model entry needs a kind out of {list(SPECS)}: {entry!r}")
-            of = f" of model {entry.get('label', entry['kind'])!r}"
-            validate(MODEL_ENTRY_KEYS + keys(SPECS[entry["kind"]]), entry, error, of)
-            if "aspects" in entry:
-                resolve_aspect_set(entry["aspects"], of)
+        values = validate(keys(cls), merged, partial(StageError, "config"))
+        aspect_set = resolve_aspect_set(values["aspects"])
+        labels = [model_run(entry, aspect_set, values["seed"])[0].label for entry in values["models"]]
+        duplicate = sorted({label for label in labels if labels.count(label) > 1})
+        if duplicate:
+            raise StageError("config", f"duplicate model labels: {duplicate}")
 
         def resolve(name, bundled=None):  # an input path is relative to the config file
             if values[name] is None:
@@ -97,7 +93,7 @@ class PipelineConfig:
             vocabulary_path=resolve("vocabulary", "default_vocabulary.json"),
             lexicon_path=resolve("lexicon", "sentiment_lexicon.txt"),
             heuristics_path=resolve("heuristics"),
-            aspect_set=values["aspects"],
+            aspect_set=aspect_set,
             include_lag=values["include_lag"],
             split_ratio=tuple(values["split_ratio"]),
             seed=values["seed"],
@@ -118,12 +114,12 @@ MODEL_ENTRY_KEYS = (
 )
 
 
-def resolve_aspect_set(value, of: str = "") -> list:
+def resolve_aspect_set(value, of: str = "") -> tuple:
     """The aspect ids an ``aspects`` value names; an id outside the 16, or named twice, fails ``config``."""
     if value in (13, "13"):
-        return list(aspects_mod.ASPECT_SET_13)
+        return tuple(aspects_mod.ASPECT_SET_13)
     if value in (16, "16"):
-        return list(aspects_mod.ASPECT_SET_16)
+        return tuple(aspects_mod.ASPECT_SET_16)
     if isinstance(value, (list, tuple)):
         unknown = [a for a in value if a not in aspects_mod.ASPECT_SET_16]
         if unknown:
@@ -131,8 +127,26 @@ def resolve_aspect_set(value, of: str = "") -> list:
         duplicate = sorted({a for a in value if value.count(a) > 1})
         if duplicate:
             raise StageError("config", f"duplicate aspect ids: {duplicate}{of}")
-        return list(value)
+        return tuple(value)
     raise StageError("config", f"bad aspect set: {value!r}")
+
+
+def model_run(entry, aspect_ids: tuple, seed: int) -> tuple[ForecasterSpec, tuple]:
+    """The spec and aspect ids of one ``models`` entry, its params' defaults filled in.
+
+    The entry's ``aspects`` and ``seed`` default to ``aspect_ids`` and
+    ``seed``, the config's, and its ``label`` to its kind. A bad entry fails
+    ``config``, naming the model.
+    """
+    if not isinstance(entry, dict) or entry.get("kind") not in SPECS:
+        raise StageError("config", f"model entry needs a kind out of {list(SPECS)}: {entry!r}")
+    of = f" of model {entry.get('label', entry['kind'])!r}"
+    params = validate(MODEL_ENTRY_KEYS + keys(SPECS[entry["kind"]]), entry, partial(StageError, "config"), of)
+    if "aspects" in params:
+        aspect_ids = resolve_aspect_set(params.pop("aspects"), of)
+    spec = ForecasterSpec.make(params.pop("kind"), label=params.pop("label", ""),
+                               seed=params.pop("seed", seed), **params)
+    return spec, aspect_ids
 
 
 @contextmanager
@@ -282,32 +296,26 @@ def build_features(reviews, revenue, vocab, lexicon, heuristics):
 
 
 def build_matrix(cfg: PipelineConfig, growth: GrowthSeries, perceptions,
-                 aspect_set=None) -> FeatureMatrix:
-    """The design matrix of ``aspect_set`` (default ``cfg.aspect_set``)."""
-    aspect_ids = resolve_aspect_set(aspect_set if aspect_set is not None else cfg.aspect_set)
+                 aspect_ids=None) -> FeatureMatrix:
+    """The design matrix of ``aspect_ids`` (default ``cfg.aspect_set``; ``()`` is lag only)."""
     try:
-        return features_mod.assemble(perceptions, growth, aspect_ids, cfg.include_lag)
+        return features_mod.assemble(perceptions, growth, cfg.aspect_set if aspect_ids is None else aspect_ids,
+                                     cfg.include_lag)
     except ValueError as e:
         raise StageError("features", str(e)) from None
 
 
-def run_pipeline(cfg: PipelineConfig) -> EvalReport:
-    """Full experiment: every configured model backtested on the same split."""
+def run_pipeline(cfg: PipelineConfig) -> list[EvalRow]:
+    """Full experiment: every configured model backtested on the same split, one row each."""
     growth, perceptions = build_features(*load_inputs(cfg))
     matrices: dict = {}  # one per aspect set: assembling is not free
-    report = EvalReport()
+    rows = []
     for entry in cfg.models:
-        entry = dict(entry)
-        kind = entry.pop("kind")
-        label = entry.pop("label", kind)
-        aspect_ids = tuple(resolve_aspect_set(entry.pop("aspects", cfg.aspect_set)))
-        seed = entry.pop("seed", cfg.seed)
-        spec = ForecasterSpec.make(kind, label=label, seed=seed, **entry)
+        spec, aspect_ids = model_run(entry, cfg.aspect_set, cfg.seed)
         if aspect_ids not in matrices:
             matrices[aspect_ids] = build_matrix(cfg, growth, perceptions, aspect_ids)
         try:
-            row = backtest(spec, matrices[aspect_ids], cfg.split_ratio, growth=growth)
+            rows.append(backtest(spec, matrices[aspect_ids], cfg.split_ratio, growth=growth))
         except Exception as e:  # backtest's errors do not name the model
-            raise StageError("fit", f"model {label!r}: {e}") from None
-        report.rows.append(row)
-    return report
+            raise StageError("fit", f"model {spec.label!r}: {e}") from None
+    return rows

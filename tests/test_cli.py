@@ -432,6 +432,7 @@ class TestErrors:
         ("quarter,revenue\n2020Q4,1e2\n2021Q1,lots\n",
          "line 3: could not convert string to float: 'lots' in column 'revenue'"),
         ("quarter,revenue\n2020Q4,100\n2021Q1,110\n2020Q4,100\n", "line 4: duplicate quarter 2020Q4"),
+        ("quarter,revenue,revenue\n2020Q4,100,110\n", "line 1: duplicate columns ['revenue']"),
     ])
     def test_bad_revenue_quarter(self, tmp_path, capsys, rows, problem):
         config = write_small_corpus(tmp_path)
@@ -817,6 +818,23 @@ class TestErrors:
         assert "error [evaluate]" in err and f"missing columns {named}" in err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("header, named", [
+        ("quarter,predicted,predicted", "['predicted']"),
+        ("quarter,predicted,quarter", "['quarter']"),
+    ])
+    def test_predictions_duplicate_column(self, tmp_path, capsys, header, named):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text(header + "\n2016Q3,0.01,0.02\n")
+        assert main([
+            "evaluate", "--features", str(out / "features.csv"),
+            "--predictions", str(predictions), "--out", str(out),
+        ]) == 1
+        assert f"error [evaluate] {predictions}: line 1: duplicate columns {named}\n" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_predictions_value_not_a_number(self, tmp_path, capsys):
         config = write_small_corpus(tmp_path)
         out = tmp_path / "out"
@@ -1045,6 +1063,19 @@ class TestErrors:
             named = f"duplicate aspect ids: ['cost_savings'] of model {entry['label']!r}"
         assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert f"error [config] {named}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("models, named", [
+        ([{"kind": "lr", "aspects": 13}, {"kind": "lr", "aspects": 16}], ["lr"]),
+        ([{"kind": "svr", "label": "M"}, {"kind": "lr", "label": "M"}, {"kind": "mlp", "label": ""},
+          {"kind": "mlp"}], ["M", "mlp"]),
+    ])
+    @pytest.mark.parametrize("command", ["features", "pipeline"])
+    def test_duplicate_model_labels(self, tmp_path, capsys, command, models, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": models}))
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert f"error [config] duplicate model labels: {named}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["header-only features", "4-quarter revenue"])

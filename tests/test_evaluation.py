@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aspectcast.evaluation import (
-    EvalReport,
     EvalRow,
     MetricError,
     backtest,
@@ -146,35 +145,35 @@ class TestBacktest:
 
 
 class TestEmit:
-    def sample_report(self):
-        return EvalReport(rows=[
+    def sample_rows(self):
+        return [
             EvalRow("A", 0.000583622, 0.024158476, 0.394573683,
                     quarters=["2018Q3", "2018Q4"], actual=[0.1, 0.2], predicted=[0.12, 0.18]),
             EvalRow("B", 0.000117719, 0.010849839, 0.343687709,
                     quarters=["2018Q3", "2018Q4"], actual=[0.1, 0.2], predicted=[0.11, 0.21]),
-        ])
+        ]
 
     def test_report_csv_layout(self):
-        text = emit_report_csv(self.sample_report()).decode("utf-8")
+        text = emit_report_csv(self.sample_rows()).decode("utf-8")
         lines = text.splitlines()
         assert lines[0] == "model,mse,rmse,theils_u"
         assert lines[1] == "A,0.000583622,0.024158476,0.394573683"
         assert len(lines) == 3
 
     def test_report_json_roundtrip(self):
-        obj = json.loads(emit_report_json(self.sample_report()))
+        obj = json.loads(emit_report_json(self.sample_rows()))
         assert [row["model"] for row in obj] == ["A", "B"]
         assert obj[0]["mse"] == pytest.approx(0.000583622)
         assert obj[1]["quarters"] == ["2018Q3", "2018Q4"]
 
     def test_plot_csv_layout(self):
-        lines = emit_plot_csv(self.sample_report()).decode("utf-8").splitlines()
+        lines = emit_plot_csv(self.sample_rows()).decode("utf-8").splitlines()
         assert lines[0] == "quarter,actual,A,B"
         assert lines[1].startswith("2018Q3,0.100000000,0.120000000,0.110000000")
         assert len(lines) == 3
 
     def test_plot_csv_quarter_mismatch(self):
-        report = self.sample_report()
-        report.rows[1].quarters = ["2010Q1", "2010Q2"]
+        rows = self.sample_rows()
+        rows[1].quarters = ["2010Q1", "2010Q2"]
         with pytest.raises(MetricError, match="share test quarters"):
-            emit_plot_csv(report)
+            emit_plot_csv(rows)

@@ -152,6 +152,7 @@ class TestAssemble:
     @pytest.mark.parametrize("header, problem", [
         ("quarter,a,growth", "line 1: header must be quarter,<columns...>,target_growth"),
         ("when,a,target_growth", "line 1: missing columns ['quarter']"),
+        ("quarter,a,a,target_growth", "line 1: duplicate columns ['a']"),
     ])
     def test_csv_header_fault_comes_before_row_faults(self, header, problem):
         with pytest.raises(FeatureError) as caught:

@@ -5,7 +5,8 @@ import pytest
 
 from aspectcast.features import chronological_split
 from aspectcast.models import ForecasterSpec, fit_spec, predict_with
-from aspectcast.pipeline import PipelineConfig, build_features, build_matrix, load_inputs
+from aspectcast import pipeline
+from aspectcast.pipeline import PipelineConfig, build_features, build_matrix, load_inputs, model_run
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +42,34 @@ class TestArimaHistory:
         train, test, _ = bundled
         predicted = predict_with(fit_spec(self.spec, train), test)
         assert np.allclose(predicted, np.mean(train.y), atol=1e-10)
+
+
+class TestModelRun:
+    """A ``models`` entry's one path to its report row: ``model_run``, then ``backtest``."""
+
+    def test_config_defaults_fill_the_entry(self):
+        spec, aspect_ids = model_run({"kind": "svr"}, ("cost_savings",), 7)
+        assert (spec.kind, spec.label, spec.seed, aspect_ids) == ("svr", "svr", 7, ("cost_savings",))
+        assert spec.param_dict() == {"gamma": 5.0, "nu": 0.5, "C": 1.0}
+
+    def test_entry_keys_win(self):
+        entry = {"kind": "mlp", "label": "ANN", "aspects": "13", "seed": 2, "hidden_size": 4}
+        spec, aspect_ids = model_run(entry, ("cost_savings",), 7)
+        assert (spec.label, spec.seed, len(aspect_ids), spec.param_dict()["hidden_size"]) == ("ANN", 2, 13, 4)
+        assert entry["aspects"] == "13"  # the entry is read, not consumed
+
+    @pytest.mark.parametrize("where", ["entry", "config"])
+    def test_empty_aspect_list_is_lag_only(self, monkeypatch, where):
+        columns, backtest = [], pipeline.backtest
+        monkeypatch.setattr(pipeline, "backtest",
+                            lambda spec, matrix, *args, **kw: columns.append(matrix.columns)
+                            or backtest(spec, matrix, *args, **kw))
+        if where == "entry":
+            cfg = PipelineConfig.from_dict({"models": [{"kind": "lr", "aspects": []}]})
+        else:
+            cfg = PipelineConfig.from_dict({"aspects": [], "models": [{"kind": "lr"}]})
+        rows = pipeline.run_pipeline(cfg)
+        # an empty list is no aspect at all, not the config's (or the default 16)
+        assert columns == [["lagged_growth"]]
+        assert [row.label for row in rows] == ["lr"]
+        assert rows[0].theils_u == pytest.approx(0.741372, abs=5e-7)

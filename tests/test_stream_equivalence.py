@@ -394,7 +394,7 @@ class TestReviewStream:
         monkeypatch.setattr(pipeline, "build_matrix", lambda *args: built.append(args[3]) or build_matrix(*args))
         cfg = PipelineConfig.from_dict({"models": [{"kind": "lr", "label": "LR-13", "aspects": 13},
                                                    {"kind": "lr", "label": "LR-'13'", "aspects": "13"}]})
-        assert [row.label for row in pipeline.run_pipeline(cfg).rows] == ["LR-13", "LR-'13'"]
+        assert [row.label for row in pipeline.run_pipeline(cfg)] == ["LR-13", "LR-'13'"]
         assert len(built) == 1
 
     @pytest.mark.parametrize("n", [pipeline.READ_AHEAD - 1, pipeline.READ_AHEAD, 2 * pipeline.READ_AHEAD + 1])
