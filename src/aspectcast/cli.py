@@ -34,9 +34,9 @@ def _read_features(args) -> features_mod.FeatureMatrix:
     return read_input(args.command, args.features, features_mod.FeatureMatrix.from_csv)
 
 
-def _write(out_dir: Path, name: str, data: bytes) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
+def _write(out: Path, name: str, data: bytes) -> Path:
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
     path.write_bytes(data)
     print(f"wrote {path}", file=sys.stderr)
     return path
@@ -46,8 +46,8 @@ def cmd_ingest(args) -> None:
     cfg = _load_config(args)
     reviews, revenue, _, _, _ = load_inputs(cfg)
     reviews = list(reviews)
-    _write(cfg.out_dir, "reviews.jsonl", corpus_mod.reviews_to_jsonl(reviews))
-    _write(cfg.out_dir, "revenue.csv", corpus_mod.csv_bytes(
+    _write(cfg.out, "reviews.jsonl", corpus_mod.reviews_to_jsonl(reviews))
+    _write(cfg.out, "revenue.csv", corpus_mod.csv_bytes(
         ["quarter", "revenue"], ([str(q), repr(v)] for q, v in zip(revenue.quarters, revenue.values))))
     print(f"{len(reviews)} reviews, {len(revenue)} revenue quarters", file=sys.stderr)
 
@@ -57,7 +57,7 @@ def cmd_sentiment(args) -> None:
     reviews, _, _, lexicon, heuristics = load_inputs(cfg)
     reviews = list(reviews)
     scores = score_reviews(reviews, lexicon, heuristics)
-    _write(cfg.out_dir, "sentiment.csv", corpus_mod.csv_bytes(
+    _write(cfg.out, "sentiment.csv", corpus_mod.csv_bytes(
         ["id", "quarter", "pos", "neu", "neg", "compound"],
         ([review.id, str(review.quarter),
           f"{s.positive:.6f}", f"{s.neutral:.6f}", f"{s.negative:.6f}", f"{s.compound:.6f}"]
@@ -67,7 +67,7 @@ def cmd_sentiment(args) -> None:
 def cmd_features(args) -> None:
     cfg = _load_config(args)
     matrix = build_matrix(cfg, *build_features(*load_inputs(cfg)))
-    _write(cfg.out_dir, "features.csv", matrix.to_csv())
+    _write(cfg.out, "features.csv", matrix.to_csv())
 
 
 def cmd_fit(args) -> None:
@@ -80,13 +80,11 @@ def cmd_fit(args) -> None:
         raise StageError("fit", f"--params: malformed JSON ({e})") from None
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise StageError("fit", "--params nested too deeply to parse") from None
-    # not make(**params): a param named like one of make's arguments is an unknown key
-    spec = ForecasterSpec(kind=args.kind, seed=cfg.seed, params=tuple(sorted(params.items())))
     try:
-        model = fit_spec(spec, matrix)
+        model = fit_spec(ForecasterSpec(args.kind, params=params, seed=cfg.seed), matrix)
     except Exception as e:
         raise StageError("fit", str(e)) from None
-    _write(cfg.out_dir, f"model_{args.kind}.json", model_to_json(model))
+    _write(cfg.out, f"model_{args.kind}.json", model_to_json(model))
 
 
 def cmd_predict(args) -> None:
@@ -97,7 +95,7 @@ def cmd_predict(args) -> None:
         predicted = predict_with(model, matrix)
     except Exception as e:
         raise StageError("predict", str(e)) from None
-    _write(cfg.out_dir, "predictions.csv", corpus_mod.csv_bytes(
+    _write(cfg.out, "predictions.csv", corpus_mod.csv_bytes(
         ["quarter", "predicted"],
         ([str(q), f"{float(v):.{eval_mod.REPORT_DECIMALS}f}"] for q, v in zip(matrix.quarters, predicted))))
 
@@ -111,17 +109,20 @@ def cmd_evaluate(args) -> None:
     missing = [str(q) for q in matrix.quarters if q not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")
-    rows = [eval_mod.score_row(args.label, matrix, [predicted[q] for q in matrix.quarters])]
-    _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(rows))
-    _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(rows))
+    try:
+        rows = [eval_mod.score_row(args.label, matrix, [predicted[q] for q in matrix.quarters])]
+    except eval_mod.MetricError as e:
+        raise StageError("evaluate", f"{args.label}: {e}") from None
+    _write(cfg.out, "report.csv", eval_mod.emit_report_csv(rows))
+    _write(cfg.out, "report.json", eval_mod.emit_report_json(rows))
 
 
 def cmd_pipeline(args) -> None:
     cfg = _load_config(args)
     rows = run_pipeline(cfg)
-    _write(cfg.out_dir, "report.csv", eval_mod.emit_report_csv(rows))
-    _write(cfg.out_dir, "report.json", eval_mod.emit_report_json(rows))
-    _write(cfg.out_dir, "plot_data.csv", eval_mod.emit_plot_csv(rows))
+    _write(cfg.out, "report.csv", eval_mod.emit_report_csv(rows))
+    _write(cfg.out, "report.json", eval_mod.emit_report_json(rows))
+    _write(cfg.out, "plot_data.csv", eval_mod.emit_plot_csv(rows))
 
 
 @functools.cache  # built once per process; each parse_args fills a new namespace

@@ -99,14 +99,19 @@ def score_row(label: str, matrix: FeatureMatrix, predicted, history: float | Non
     """The report row of ``predicted`` against the targets of ``matrix``.
 
     Theil's U is U2: ``history`` is the target before the first row, and
-    without it the first step is dropped (see ``theils_u``).
+    without it the first step is dropped (see ``theils_u``). A metric that is
+    not finite raises ``MetricError``.
     """
     actual = matrix.y
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused below
+        metrics = {"mse": mse(actual, predicted), "rmse": rmse(actual, predicted),
+                   "theils_u": theils_u(actual, predicted, history=history)}
+    for name, value in metrics.items():
+        if not math.isfinite(value):
+            raise MetricError(f"{name} is not finite: {value}")
     return EvalRow(
         label=label,
-        mse=mse(actual, predicted),
-        rmse=rmse(actual, predicted),
-        theils_u=theils_u(actual, predicted, history=history),
+        **metrics,
         quarters=[str(q) for q in matrix.quarters],
         actual=[float(v) for v in actual],
         predicted=[float(v) for v in predicted],

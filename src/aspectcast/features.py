@@ -53,13 +53,19 @@ class GrowthSeries:
 
 
 def revenue_growth(series: RevenueSeries) -> GrowthSeries:
-    """Fractional growth (rev_q - rev_{q-1}) / rev_{q-1}, one value per quarter after the first."""
+    """Fractional growth (rev_q - rev_{q-1}) / rev_{q-1}, one value per quarter after the first.
+
+    A growth that is not finite raises ``FeatureError`` naming its quarter.
+    """
     if len(series) < 2:
         raise FeatureError("revenue series needs at least 2 quarters")
     quarters = series.quarters[1:]
     values = tuple(
         (cur - prev) / prev for prev, cur in zip(series.values, series.values[1:])
     )
+    for quarter, value in zip(quarters, values):
+        if not math.isfinite(value):  # a revenue near 0 overflows the division
+            raise FeatureError(f"growth of {quarter} is not finite: {value}")
     return GrowthSeries(quarters=quarters, values=values)
 
 

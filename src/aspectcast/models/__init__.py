@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -39,32 +39,29 @@ __all__ = [
     "load_reference_model",
 ]
 
-# Each kind's params are the keys its spec declares; fit_spec rejects any
-# other, so a typo fails instead of silently fitting the default.
+# Each kind's params are the keys its spec declares; a ForecasterSpec rejects
+# any other, so a typo fails instead of silently fitting the default.
 SPECS = {"lr": LrSpec, "mlp": MlpSpec, "svr": SvrSpec, "arima": ArimaSpec}
 
 
 @dataclass(frozen=True)
 class ForecasterSpec:
-    """One model configuration: kind, label, kind-specific params, seed."""
+    """One model configuration: kind, label, kind-specific params, seed.
+
+    ``params`` is checked against the keys its kind declares and its defaults
+    are filled in; a bad kind or param raises ``FitError``.
+    """
 
     kind: str
     label: str = ""
-    params: tuple = ()  # sorted (name, value) pairs, hashable
+    params: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SPECS:
             raise FitError(f"unknown model kind: {self.kind!r}")
-        if not self.label:
-            object.__setattr__(self, "label", self.kind)
-
-    @classmethod
-    def make(cls, kind, label="", seed=0, **params):
-        return cls(kind=kind, label=label, seed=seed, params=tuple(sorted(params.items())))
-
-    def param_dict(self) -> dict:
-        return dict(self.params)
+        object.__setattr__(self, "label", self.label or self.kind)
+        object.__setattr__(self, "params", schema.validate(schema.keys(SPECS[self.kind]), self.params, FitError))
 
 
 def fit_spec(spec: ForecasterSpec, train: FeatureMatrix, growth: GrowthSeries | None = None):
@@ -73,20 +70,19 @@ def fit_spec(spec: ForecasterSpec, train: FeatureMatrix, growth: GrowthSeries | 
     ARIMA trains on the ``growth`` values through the last training quarter,
     or on ``train.y`` when ``growth`` is None; the other kinds ignore ``growth``.
     """
-    params = schema.validate(schema.keys(SPECS[spec.kind]), spec.param_dict(), FitError)
     if spec.kind == "lr":
-        return fit_lr(train, **params)
+        return fit_lr(train, **spec.params)
     if spec.kind == "mlp":
-        return fit_mlp(train, MlpSpec(**params, seed=spec.seed))
+        return fit_mlp(train, MlpSpec(**spec.params, seed=spec.seed))
     if spec.kind == "svr":
-        return fit_nusvr(train, SvrSpec(**params))
+        return fit_nusvr(train, SvrSpec(**spec.params))
     # arima, the one kind left
     if growth is None:
         history = train.y
     else:
         last = train.quarters[-1]
         history = [v for q, v in zip(growth.quarters, growth.values) if q <= last]
-    return fit_arima(history, **params)
+    return fit_arima(history, **spec.params)
 
 
 def predict_with(model, test: FeatureMatrix) -> np.ndarray:

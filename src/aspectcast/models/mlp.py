@@ -123,9 +123,7 @@ def fit_mlp(train: FeatureMatrix, spec: MlpSpec | None = None) -> MlpModel:
     order = rng.permutation(n)
     n_val = max(1, int(round(0.15 * n)))
     n_hold = max(1, int(round(0.15 * n)))
-    n_train = n - n_val - n_hold
-    if n_train < 1:
-        n_train, n_val, n_hold = n - 2, 1, 1
+    n_train = n - n_val - n_hold  # at least 3, as n >= 5
     idx_train = order[:n_train]
     idx_val = order[n_train : n_train + n_val]
 

@@ -47,21 +47,26 @@ DEFAULT_MODELS = (
 )
 
 
+# an input path key -> the bundled file (under data/) that a null value means
+BUNDLED = {"reviews": "synthetic/reviews.jsonl", "revenue": "synthetic/revenue.csv",
+           "vocabulary": "default_vocabulary.json", "lexicon": "sentiment_lexicon.txt", "heuristics": None}
+
+
 @dataclass
 class PipelineConfig:
-    """A run's settings, one config key per field; a null input path means the bundled default."""
+    """A run's settings, one field per config key; a null input path means the bundled default."""
 
-    reviews_path: Path | None = key(None, "path", name="reviews")
-    revenue_path: Path | None = key(None, "path", name="revenue")
-    vocabulary_path: Path | None = key(None, "path", name="vocabulary")
-    lexicon_path: Path | None = key(None, "path", name="lexicon")
-    heuristics_path: Path | None = key(None, "path", name="heuristics")
-    aspect_set: tuple = key(16, "aspects", name="aspects")  # loaded as the tuple of ids it names
+    reviews: Path | None = key(None, "path")
+    revenue: Path | None = key(None, "path")
+    vocabulary: Path | None = key(None, "path")
+    lexicon: Path | None = key(None, "path")
+    heuristics: Path | None = key(None, "path")
+    aspects: tuple = key(16, "aspects")  # loaded as the tuple of ids it names
     include_lag: bool = key(True, "bool")
     split_ratio: tuple = SPLIT_RATIO.as_field()
-    seed: int = key(0, "int")
-    models: list = key(DEFAULT_MODELS, "models")
-    out_dir: Path = key("out", "path", name="out")
+    seed: int = key(0, "int", low=0)
+    models: list = key(DEFAULT_MODELS, "models")  # loaded as model_run's (spec, aspect ids) pairs
+    out: Path = key("out", "path")
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "PipelineConfig":
@@ -75,31 +80,20 @@ class PipelineConfig:
             if value is not None:
                 merged[name] = value
         values = validate(keys(cls), merged, partial(StageError, "config"))
-        aspect_set = resolve_aspect_set(values["aspects"])
-        labels = [model_run(entry, aspect_set, values["seed"])[0].label for entry in values["models"]]
+        values["aspects"] = resolve_aspects(values["aspects"])
+        values["models"] = [model_run(entry, values["aspects"], values["seed"]) for entry in values["models"]]
+        labels = [spec.label for spec, _ in values["models"]]
         duplicate = sorted({label for label in labels if labels.count(label) > 1})
         if duplicate:
             raise StageError("config", f"duplicate model labels: {duplicate}")
-
-        def resolve(name, bundled=None):  # an input path is relative to the config file
-            if values[name] is None:
-                return bundled and Path(str(resources.files("aspectcast").joinpath(f"data/{bundled}")))
-            p = Path(values[name])
-            return base / p if base is not None and not p.is_absolute() else p
-
-        return cls(
-            reviews_path=resolve("reviews", "synthetic/reviews.jsonl"),
-            revenue_path=resolve("revenue", "synthetic/revenue.csv"),
-            vocabulary_path=resolve("vocabulary", "default_vocabulary.json"),
-            lexicon_path=resolve("lexicon", "sentiment_lexicon.txt"),
-            heuristics_path=resolve("heuristics"),
-            aspect_set=aspect_set,
-            include_lag=values["include_lag"],
-            split_ratio=tuple(values["split_ratio"]),
-            seed=values["seed"],
-            models=[dict(m) for m in values["models"]],
-            out_dir=Path(values["out"]),
-        )
+        for name, bundled in BUNDLED.items():  # an input path is relative to the config file
+            if values[name] is not None:
+                values[name] = Path(base or "", values[name])
+            elif bundled:
+                values[name] = Path(str(resources.files("aspectcast").joinpath(f"data/{bundled}")))
+        values["split_ratio"] = tuple(values["split_ratio"])
+        values["out"] = Path(values["out"])
+        return cls(**values)
 
     @classmethod
     def defaults(cls, **overrides) -> "PipelineConfig":
@@ -114,21 +108,19 @@ MODEL_ENTRY_KEYS = (
 )
 
 
-def resolve_aspect_set(value, of: str = "") -> tuple:
-    """The aspect ids an ``aspects`` value names; an id outside the 16, or named twice, fails ``config``."""
+def resolve_aspects(value, of: str = "") -> tuple:
+    """The aspect ids a valid ``aspects`` value names; an id outside the 16, or named twice, fails ``config``."""
     if value in (13, "13"):
         return tuple(aspects_mod.ASPECT_SET_13)
     if value in (16, "16"):
         return tuple(aspects_mod.ASPECT_SET_16)
-    if isinstance(value, (list, tuple)):
-        unknown = [a for a in value if a not in aspects_mod.ASPECT_SET_16]
-        if unknown:
-            raise StageError("config", f"unknown aspect ids: {unknown}{of}")
-        duplicate = sorted({a for a in value if value.count(a) > 1})
-        if duplicate:
-            raise StageError("config", f"duplicate aspect ids: {duplicate}{of}")
-        return tuple(value)
-    raise StageError("config", f"bad aspect set: {value!r}")
+    unknown = [a for a in value if a not in aspects_mod.ASPECT_SET_16]
+    if unknown:
+        raise StageError("config", f"unknown aspect ids: {unknown}{of}")
+    duplicate = sorted({a for a in value if value.count(a) > 1})
+    if duplicate:
+        raise StageError("config", f"duplicate aspect ids: {duplicate}{of}")
+    return tuple(value)
 
 
 def model_run(entry, aspect_ids: tuple, seed: int) -> tuple[ForecasterSpec, tuple]:
@@ -136,16 +128,16 @@ def model_run(entry, aspect_ids: tuple, seed: int) -> tuple[ForecasterSpec, tupl
 
     The entry's ``aspects`` and ``seed`` default to ``aspect_ids`` and
     ``seed``, the config's, and its ``label`` to its kind. A bad entry fails
-    ``config``, naming the model.
+    ``config``, naming the model. A config load reads each entry here, once.
     """
     if not isinstance(entry, dict) or entry.get("kind") not in SPECS:
         raise StageError("config", f"model entry needs a kind out of {list(SPECS)}: {entry!r}")
     of = f" of model {entry.get('label', entry['kind'])!r}"
     params = validate(MODEL_ENTRY_KEYS + keys(SPECS[entry["kind"]]), entry, partial(StageError, "config"), of)
     if "aspects" in params:
-        aspect_ids = resolve_aspect_set(params.pop("aspects"), of)
-    spec = ForecasterSpec.make(params.pop("kind"), label=params.pop("label", ""),
-                               seed=params.pop("seed", seed), **params)
+        aspect_ids = resolve_aspects(params.pop("aspects"), of)
+    spec = ForecasterSpec(params.pop("kind"), label=params.pop("label", ""), seed=params.pop("seed", seed),
+                          params=params)
     return spec, aspect_ids
 
 
@@ -200,19 +192,19 @@ def load_inputs(cfg: PipelineConfig):
     read and parsed here. A reviews path ending in ``.csv`` is read as CSV,
     any other as JSONL.
     """
-    with _input_errors("ingest", cfg.reviews_path):
-        reviews_file = Path(cfg.reviews_path).open("rb")
+    with _input_errors("ingest", cfg.reviews):
+        reviews_file = Path(cfg.reviews).open("rb")
     try:
-        revenue = read_input("ingest", cfg.revenue_path, corpus_mod.parse_revenue)
-        vocab = read_input("ingest", cfg.vocabulary_path, aspects_mod.load_vocabulary)
-        lexicon = read_input("ingest", cfg.lexicon_path, sentiment_mod.load_lexicon)
-        heuristics = (read_input("ingest", cfg.heuristics_path, sentiment_mod.HeuristicConfig.from_json)
-                      if cfg.heuristics_path else sentiment_mod.HeuristicConfig())
+        revenue = read_input("ingest", cfg.revenue, corpus_mod.parse_revenue)
+        vocab = read_input("ingest", cfg.vocabulary, aspects_mod.load_vocabulary)
+        lexicon = read_input("ingest", cfg.lexicon, sentiment_mod.load_lexicon)
+        heuristics = (read_input("ingest", cfg.heuristics, sentiment_mod.HeuristicConfig.from_json)
+                      if cfg.heuristics else sentiment_mod.HeuristicConfig())
     except BaseException:
         reviews_file.close()
         raise
-    reviews_format = "csv" if Path(cfg.reviews_path).suffix == ".csv" else "jsonl"
-    reviews = _ReviewStream(reviews_file, cfg.reviews_path, reviews_format)
+    reviews_format = "csv" if Path(cfg.reviews).suffix == ".csv" else "jsonl"
+    reviews = _ReviewStream(reviews_file, cfg.reviews, reviews_format)
     return reviews, revenue, vocab, lexicon, heuristics
 
 
@@ -297,9 +289,9 @@ def build_features(reviews, revenue, vocab, lexicon, heuristics):
 
 def build_matrix(cfg: PipelineConfig, growth: GrowthSeries, perceptions,
                  aspect_ids=None) -> FeatureMatrix:
-    """The design matrix of ``aspect_ids`` (default ``cfg.aspect_set``; ``()`` is lag only)."""
+    """The design matrix of ``aspect_ids`` (default ``cfg.aspects``; ``()`` is lag only)."""
     try:
-        return features_mod.assemble(perceptions, growth, cfg.aspect_set if aspect_ids is None else aspect_ids,
+        return features_mod.assemble(perceptions, growth, cfg.aspects if aspect_ids is None else aspect_ids,
                                      cfg.include_lag)
     except ValueError as e:
         raise StageError("features", str(e)) from None
@@ -310,8 +302,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[EvalRow]:
     growth, perceptions = build_features(*load_inputs(cfg))
     matrices: dict = {}  # one per aspect set: assembling is not free
     rows = []
-    for entry in cfg.models:
-        spec, aspect_ids = model_run(entry, cfg.aspect_set, cfg.seed)
+    for spec, aspect_ids in cfg.models:
         if aspect_ids not in matrices:
             matrices[aspect_ids] = build_matrix(cfg, growth, perceptions, aspect_ids)
         try:

@@ -540,16 +540,16 @@ class TestErrors:
         assert f"error [{command}] {features}: {where}{problem}" in err
         assert not (tmp_path / "out2").exists()
 
-    @pytest.mark.parametrize("value", [2.9, True, "3", None])
+    @pytest.mark.parametrize("value", [2.9, True, "3", None, -1])
     @pytest.mark.parametrize("where", ["config", "model"])
     def test_seed_not_an_integer(self, tmp_path, capsys, value, where):
         config = tmp_path / "config.json"
         if where == "config":
             config.write_text(json.dumps({"seed": value}))
-            named = f"seed must be an integer, got {value!r}"
+            named = f"seed must be an integer >= 0, got {value!r}"
         else:
             config.write_text(json.dumps({"models": [{"kind": "mlp", "label": "ANN", "seed": value}]}))
-            named = f"seed of model 'ANN' must be an integer, got {value!r}"
+            named = f"seed of model 'ANN' must be an integer >= 0, got {value!r}"
         assert main(["features", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert f"error [config] {named}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -569,7 +569,7 @@ class TestErrors:
 
     def test_path_objects_are_paths(self, tmp_path):
         cfg = PipelineConfig.defaults(out=tmp_path, reviews=tmp_path / "r.jsonl")
-        assert cfg.out_dir == tmp_path and cfg.reviews_path == tmp_path / "r.jsonl"
+        assert cfg.out == tmp_path and cfg.reviews == tmp_path / "r.jsonl"
 
     @pytest.mark.parametrize("lambda0", ["0", "-1", "0.0", "Infinity", "NaN", "true"])
     def test_mlp_lambda0_not_positive(self, tmp_path, lambda0):
@@ -952,12 +952,39 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["features", "pipeline"])
     def test_one_revenue_quarter_is_a_features_error(self, tmp_path, capsys, command):
         config = write_small_corpus(tmp_path)
-        (tmp_path / "revenue.csv").write_text("quarter,revenue\n2016Q1,100.0\n")
+        out = tmp_path / "out"
+        for rows, problem in [
+            ("2016Q1,100.0\n", "revenue series needs at least 2 quarters"),
+            # one growth quarter, which the lag column drops
+            ("2016Q1,100.0\n2016Q2,102.0\n", "not enough growth quarters to assemble features"),
+        ]:
+            (tmp_path / "revenue.csv").write_text("quarter,revenue\n" + rows)
+            assert main([command, "--config", str(config), "--out", str(out)]) == 1
+            assert f"error [features] {problem}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["features", "pipeline"])
+    def test_growth_not_finite(self, tmp_path, capsys, command):
+        config = write_small_corpus(tmp_path)
+        revenue = tmp_path / "revenue.csv"
+        # a positive revenue so small that the next quarter's growth overflows
+        revenue.write_text(revenue.read_text().replace("2016Q1,100.0", "2016Q1,1e-320"))
         out = tmp_path / "out"
         assert main([command, "--config", str(config), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "error [features] revenue series needs at least 2 quarters" in err
+        assert "error [features] growth of 2016Q2 is not finite: inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_metric_not_finite(self, tmp_path, capsys):
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        main(["features", "--config", str(config), "--out", str(out)])
+        predictions = tmp_path / "predictions.csv"
+        quarters = [line.split(",")[0] for line in (out / "features.csv").read_text().splitlines()[1:]]
+        predictions.write_text("quarter,predicted\n" + "".join(f"{q},1e200\n" for q in quarters))
+        assert main(["evaluate", "--features", str(out / "features.csv"),
+                     "--predictions", str(predictions), "--out", str(out)]) == 1
+        assert "error [evaluate] model: mse is not finite: inf" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_malformed_reviews(self, tmp_path, capsys):
         bad = tmp_path / "reviews.jsonl"

@@ -14,6 +14,7 @@ from aspectcast.evaluation import (
     emit_report_json,
     mse,
     rmse,
+    score_row,
     theils_u,
 )
 from aspectcast.models import ForecasterSpec
@@ -119,6 +120,16 @@ class TestTheilsU:
             theils_u([1.0], [1.0], "U2")
 
 
+@pytest.mark.parametrize("predicted, problem", [
+    (1e200, "mse is not finite: inf"),  # squares overflow, without a RuntimeWarning
+    (math.nan, "mse is not finite: nan"),
+])
+def test_score_row_refuses_a_metric_that_is_not_finite(predicted, problem):
+    m = matrix(np.zeros((3, 1)), [0.1, 0.2, 0.3], columns=["x"])
+    with pytest.raises(MetricError, match=problem):
+        score_row("A", m, [predicted] * 3)
+
+
 class TestBacktest:
     def make_line_matrix(self, n=12):
         x = np.linspace(0.0, 1.0, n)
@@ -126,7 +137,7 @@ class TestBacktest:
 
     def test_linear_model_perfect_fit(self):
         m = self.make_line_matrix()
-        row = backtest(ForecasterSpec.make("lr", label="LR"), m)
+        row = backtest(ForecasterSpec("lr", label="LR"), m)
         assert row.label == "LR"
         assert row.mse == pytest.approx(0.0, abs=1e-16)
         assert row.theils_u == pytest.approx(0.0, abs=1e-6)
@@ -134,14 +145,14 @@ class TestBacktest:
 
     def test_arima_uses_target_series(self):
         m = self.make_line_matrix()
-        row = backtest(ForecasterSpec.make("arima", label="ARIMA", orders=(0, 0, 0)), m)
+        row = backtest(ForecasterSpec("arima", label="ARIMA", params={"orders": (0, 0, 0)}), m)
         train_mean = np.mean(m.y[:8])
         assert np.allclose(row.predicted, train_mean, atol=1e-8)
 
     def test_failure_wrapped(self):
         m = self.make_line_matrix(n=2)  # one-row training set cannot fit OLS
         with pytest.raises(MetricError, match="failed to fit"):
-            backtest(ForecasterSpec.make("lr", label="LR"), m)
+            backtest(ForecasterSpec("lr", label="LR"), m)
 
 
 class TestEmit:

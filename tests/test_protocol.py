@@ -1,10 +1,13 @@
 """The forecaster protocol: ``fit_spec`` on a training prefix, ``predict_with`` on a test block."""
 
+import re
+
 import numpy as np
 import pytest
 
+from aspectcast import evaluation
 from aspectcast.features import chronological_split
-from aspectcast.models import ForecasterSpec, fit_spec, predict_with
+from aspectcast.models import FitError, ForecasterSpec, fit_spec, predict_with
 from aspectcast import pipeline
 from aspectcast.pipeline import PipelineConfig, build_features, build_matrix, load_inputs, model_run
 
@@ -21,13 +24,32 @@ def bundled():
 @pytest.mark.parametrize("kind", ["lr", "mlp", "svr", "arima"])
 def test_every_kind_predicts_the_test_block(bundled, kind):
     train, test, _ = bundled
-    predicted = predict_with(fit_spec(ForecasterSpec.make(kind), train), test)
+    predicted = predict_with(fit_spec(ForecasterSpec(kind), train), test)
     assert predicted.shape == (test.n_rows,)
     assert np.all(np.isfinite(predicted))
 
 
+class TestForecasterSpec:
+    """A spec checks its params against its kind's keys once, when it is built."""
+
+    def test_defaults_fill_the_params(self):
+        params = {"gamma": 2.0}
+        spec = ForecasterSpec("svr", params=params)
+        assert (spec.label, spec.params) == ("svr", {"gamma": 2.0, "nu": 0.5, "C": 1.0})
+        assert params == {"gamma": 2.0}  # the caller's dict is read, not filled
+
+    @pytest.mark.parametrize("kind, params, problem", [
+        ("svr", {"gama": 2.0}, "unknown keys ['gama']"),
+        ("mlp", {"hidden_size": 0}, "hidden_size must be an integer >= 1, got 0"),
+        ("lr", {"seed": 1}, "unknown keys ['seed']"),  # a spec argument is not a param
+    ])
+    def test_bad_param_is_a_fit_error(self, kind, params, problem):
+        with pytest.raises(FitError, match=re.escape(problem)):
+            ForecasterSpec(kind, params=params)
+
+
 class TestArimaHistory:
-    spec = ForecasterSpec.make("arima", orders=(0, 0, 0))
+    spec = ForecasterSpec("arima", params={"orders": (0, 0, 0)})
 
     def test_growth_through_last_training_quarter(self, bundled):
         train, test, growth = bundled
@@ -50,12 +72,12 @@ class TestModelRun:
     def test_config_defaults_fill_the_entry(self):
         spec, aspect_ids = model_run({"kind": "svr"}, ("cost_savings",), 7)
         assert (spec.kind, spec.label, spec.seed, aspect_ids) == ("svr", "svr", 7, ("cost_savings",))
-        assert spec.param_dict() == {"gamma": 5.0, "nu": 0.5, "C": 1.0}
+        assert spec.params == {"gamma": 5.0, "nu": 0.5, "C": 1.0}
 
     def test_entry_keys_win(self):
         entry = {"kind": "mlp", "label": "ANN", "aspects": "13", "seed": 2, "hidden_size": 4}
         spec, aspect_ids = model_run(entry, ("cost_savings",), 7)
-        assert (spec.label, spec.seed, len(aspect_ids), spec.param_dict()["hidden_size"]) == ("ANN", 2, 13, 4)
+        assert (spec.label, spec.seed, len(aspect_ids), spec.params["hidden_size"]) == ("ANN", 2, 13, 4)
         assert entry["aspects"] == "13"  # the entry is read, not consumed
 
     @pytest.mark.parametrize("where", ["entry", "config"])
@@ -73,3 +95,9 @@ class TestModelRun:
         assert columns == [["lagged_growth"]]
         assert [row.label for row in rows] == ["lr"]
         assert rows[0].theils_u == pytest.approx(0.741372, abs=5e-7)
+
+    def test_metric_not_finite_names_the_model(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "predict_with", lambda model, test: np.full(test.n_rows, 1e200))
+        cfg = PipelineConfig.from_dict({"models": [{"kind": "lr", "label": "LR-16"}]})
+        with pytest.raises(pipeline.StageError, match="model 'LR-16': mse is not finite: inf"):
+            pipeline.run_pipeline(cfg)
