@@ -126,13 +126,12 @@ def backtest(
 ) -> EvalRow:
     """Fit on the chronological training prefix, score the held-out suffix.
 
-    ``growth`` is the history an ARIMA spec trains on (see ``fit_spec``).
+    ``growth`` is the history an ARIMA spec trains on (see ``fit_spec``). A
+    split, fit or prediction that fails raises its own error (``FeatureError``,
+    ``FitError``), and a metric that is not finite raises ``MetricError``.
     """
     train, test = chronological_split(matrix, split_ratio)
-    try:
-        predicted = predict_with(fit_spec(spec, train, growth), test)
-    except Exception as e:
-        raise MetricError(f"failed to fit: {e}") from e
+    predicted = predict_with(fit_spec(spec, train, growth), test)
     return score_row(spec.label, test, predicted, history=float(train.y[-1]))
 
 

@@ -29,14 +29,6 @@ class LinearModel:
     coefficients: dict  # feature-id -> coefficient
     selected_features: list
 
-    def predict_row(self, features: dict) -> float:
-        total = self.intercept
-        for name in self.selected_features:
-            if name not in features:
-                raise FitError(f"missing feature: {name!r}")
-            total += self.coefficients[name] * features[name]
-        return total
-
     def predict(self, matrix: FeatureMatrix) -> np.ndarray:
         X = matrix.select(self.selected_features)
         if not self.selected_features:
@@ -155,4 +147,9 @@ def fit_lr(train: FeatureMatrix, selection: str = LrSpec.selection,
 
 def predict_lr(model: LinearModel, features: dict) -> float:
     """Evaluate intercept + sum(coef * feature) in selected-feature order."""
-    return model.predict_row(features)
+    total = model.intercept
+    for name in model.selected_features:
+        if name not in features:
+            raise FitError(f"missing feature: {name!r}")
+        total += model.coefficients[name] * features[name]
+    return total

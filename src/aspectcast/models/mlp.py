@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from ..optimize import lm_step, half_sse, OptimizerStalled
+from ..optimize import LAM_MAX, lm_step, half_sse, OptimizerStalled
 from ..schema import check_fields, key
 from .linear import FitError
 
@@ -27,8 +27,9 @@ def _sigmoid(x):
 class MlpSpec:
     hidden_size: int = key(10, "int", low=1)
     max_epochs: int = key(100, "int", low=0)
-    # lm_step grows a rejected step's damping tenfold, which never lifts 0 to lam_max
-    lambda0: float = key(1e-3, low=0, open_low=True)
+    # lm_step grows a rejected step's damping tenfold, which never lifts 0 to
+    # LAM_MAX, and above LAM_MAX it takes no step at all
+    lambda0: float = key(1e-3, low=0, high=LAM_MAX, open_low=True)
     validation_patience: int = key(6, "int", low=1)
     seed: int = 0  # not a param: a model entry's or the run's seed
 
@@ -157,8 +158,6 @@ def fit_mlp(train: FeatureMatrix, spec: MlpSpec | None = None) -> MlpModel:
             params, lam, train_err = lm_step(params, fn_train, lam)
         except OptimizerStalled:
             break
-        if not np.isfinite(train_err):
-            raise FitError(f"non-finite training error at epoch {epoch}")
         v = val_error(params)
         trace.append((epoch, train_err, v))
         if v < best_val:

@@ -21,6 +21,8 @@ from .linear import FitError
 
 __all__ = ["SvrModel", "SvrSpec", "fit_nusvr", "rbf_kernel", "dual_objective"]
 
+_BOUND_TOL = 1e-10  # a dual variable this close to 0 or C/n is at that bound
+
 
 @dataclass
 class SvrSpec:
@@ -77,10 +79,8 @@ def _block_step(v, grad, K, cu, tol):
     eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
     if eta <= 1e-14:
         eta = 1e-14
-    t = violation / eta
-    t = min(t, cu - v[i], v[j])
-    if t <= 0:
-        return None
+    # positive: violation > tol, and i can rise and j fall by more than 1e-14
+    t = min(violation / eta, cu - v[i], v[j])
     return i, j, t
 
 
@@ -139,16 +139,16 @@ def _recover_bias(G, alpha, alpha_star, cu):
     def block_value(v, g):
         # free variables pin the block multiplier exactly; otherwise it lies
         # between the bound-variable gradients, take the midpoint
-        free = (v > 1e-10) & (v < cu - 1e-10)
+        free = (v > _BOUND_TOL) & (v < cu - _BOUND_TOL)
         if free.any():
             return float(np.mean(g[free]))
-        lo = g[v < cu - 1e-10]  # increasable: multiplier <= each of these... bounded above
-        hi = g[v > 1e-10]       # decreasable: bounded below
-        if lo.size and hi.size:
+        # a block sums to C*nu/2 <= n*cu/2, so with cu > 2*_BOUND_TOL (fit_nusvr
+        # checks it) some variable sits below cu - _BOUND_TOL: lo is never empty
+        lo = g[v < cu - _BOUND_TOL]  # increasable: multiplier <= each of these... bounded above
+        hi = g[v > _BOUND_TOL]       # decreasable: bounded below
+        if hi.size:
             return 0.5 * (float(lo.max()) + float(hi.min()))
-        if lo.size:
-            return float(lo.max())
-        return float(hi.min())
+        return float(lo.max())
 
     # free alpha_i:  rho + eps = -G_i ; free alpha*_i:  eps - rho = G_i
     m1 = block_value(alpha, -G)
@@ -163,6 +163,9 @@ def fit_nusvr(train: FeatureMatrix, spec: SvrSpec | None = None) -> SvrModel:
     check_fields(spec, FitError)
     if train.n_rows < 2:
         raise FitError("need at least 2 rows to fit nu-SVR")
+    if spec.C / train.n_rows <= 2 * _BOUND_TOL:
+        raise FitError(f"C = {spec.C:g} is too small for {train.n_rows} rows: "
+                       f"C / rows must exceed {2 * _BOUND_TOL:g}")
 
     X, y = train.X, train.y
     K = rbf_kernel(X, X, spec.gamma)

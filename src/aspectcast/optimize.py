@@ -22,12 +22,15 @@ def half_sse(residuals: np.ndarray) -> float:
     return 0.5 * float(r @ r)
 
 
-def lm_step(params, residual_fn, lam, lam_max=1e12):
+LAM_MAX = 1e12  # the largest damping lm_step tries
+
+
+def lm_step(params, residual_fn, lam):
     """One damped Gauss-Newton step.
 
     Solves (J'J + lam*I) delta = -J'r. A step that does not increase the
     error is accepted and lam is divided by 10; otherwise lam is multiplied
-    by 10 and the solve retried, up to lam_max.
+    by 10 and the solve retried, up to LAM_MAX.
 
     Returns (new_params, new_lam, new_error).
     """
@@ -42,7 +45,7 @@ def lm_step(params, residual_fn, lam, lam_max=1e12):
     err = half_sse(r)
     A = J.T @ J
     g = J.T @ r
-    while lam <= lam_max:
+    while lam <= LAM_MAX:
         # the same bits as A + lam * I for any finite lam: a + lam * 0.0 off
         # the diagonal, and (a + lam * 0.0) + lam == a + lam on it
         damped = A + lam * 0.0

@@ -64,6 +64,7 @@ BAD_PARAMS = [
     ("svr", {"C": float("nan")}, "C"),
     ("svr", {"nu": True}, "nu"),
     ("lr", {"selection": "all", "threshold": "x"}, "threshold"),
+    ("mlp", {"lambda0": 1e13}, "lambda0"),  # above lm_step's largest damping, no step is taken
 ]
 
 
@@ -379,6 +380,12 @@ with tempfile.TemporaryDirectory() as out:
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+PACKAGE_ROOT = """
+import json
+import aspectcast
+print(json.dumps(sorted(n for n in vars(aspectcast) if not n.startswith("_") or n == "__version__")))
+"""
+
 
 class TestColdStart:
     def test_stepwise_fit_never_loads_scipy(self):
@@ -402,6 +409,14 @@ class TestColdStart:
                               capture_output=True, text=True, timeout=120, check=True)
         # only stepwise selection reads p-values, and no default model selects
         assert json.loads(done.stdout) == []
+
+    def test_package_root_holds_only_the_version(self):
+        # each name has one import path, its own submodule's
+        src = str(Path(aspectcast.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", PACKAGE_ROOT], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(done.stdout) == ["__version__"]
 
 
 class TestErrors:
@@ -584,7 +599,7 @@ class TestErrors:
              "--kind", "mlp", "--params", f'{{"lambda0": {lambda0}}}', "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 1
-        assert "error [fit] lambda0 must be > 0" in done.stderr
+        assert "error [fit] lambda0 must be in (0, 1e+12], got " in done.stderr
         assert not (out / "model_mlp.json").exists()
 
     @pytest.mark.parametrize("name, data", [
@@ -771,8 +786,28 @@ class TestErrors:
                                       "models": [{"kind": "lr", "label": "LR"}]}))
         assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "error [fit] model 'LR': failed to fit: too few rows" in err
+        assert "error [fit] model 'LR': too few rows" in err
         assert err.count("'LR'") == 1
+
+    @pytest.mark.parametrize("command", ["pipeline", "fit"])
+    def test_svr_C_too_small_for_the_rows(self, tmp_path, capsys, command):
+        # at C / rows <= 2e-10 every dual variable can sit within nu-SVR's 1e-10
+        # bound tolerance of both bounds, which leaves the bias undefined
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        if command == "pipeline":
+            config.write_text(json.dumps({"reviews": "reviews.jsonl", "revenue": "revenue.csv", "models": [
+                {"kind": "svr", "label": "SVM-tiny", "C": 1e-12}]}))
+            args, named = ["pipeline", "--config", str(config)], "model 'SVM-tiny': "
+        else:
+            main(["features", "--config", str(config), "--out", str(out)])
+            args, named = ["fit", "--features", str(out / "features.csv"), "--kind", "svr",
+                           "--params", '{"C": 1e-12}'], ""
+        assert main([*args, "--out", str(out)]) == 1
+        rows = 4 if command == "pipeline" else 6  # the 2:1 split's training rows, or every row
+        assert (f"error [fit] {named}C = 1e-12 is too small for {rows} rows: C / rows must exceed 2e-10"
+                in capsys.readouterr().err)
+        assert not (out / "report.csv").exists() and not (out / "model_svr.json").exists()
 
     @pytest.mark.parametrize("params", ["[1]", '"gamma"', "5", "null", "{bad", '{"\udcff": 1}'])
     def test_fit_params_not_an_object(self, tmp_path, capsys, params):

@@ -10,6 +10,7 @@ from aspectcast.corpus import (
     CorpusError,
     Quarter,
     Review,
+    RevenueSeries,
     parse_revenue,
     parse_reviews,
     reviews_to_jsonl,
@@ -42,6 +43,11 @@ class TestQuarter:
         for _ in range(2):  # a failed parse is not remembered
             with pytest.raises(CorpusError, match="invalid quarter label"):
                 Quarter.parse(label)
+
+    @pytest.mark.parametrize("index", [0, 5])
+    def test_invalid_index_built_directly(self, index):
+        with pytest.raises(CorpusError, match=f"^invalid quarter index: {index}$"):
+            Quarter(2020, index)
 
     def test_next_rolls_over_the_year(self):
         assert Quarter(2016, 1).next() == Quarter(2016, 2)
@@ -249,6 +255,14 @@ class TestParseRevenue:
     def test_non_positive(self):
         with pytest.raises(CorpusError, match="non-positive"):
             parse_revenue(b"quarter,revenue\n2016Q1,-5\n")
+
+    @pytest.mark.parametrize("values, problem", [
+        ((100.0,), "quarters and values length mismatch"),
+        ((100.0, 0.0), "non-positive revenue for 2016Q1: 0.0"),
+    ])
+    def test_series_built_directly(self, values, problem):
+        with pytest.raises(CorpusError, match=f"^{problem}$"):
+            RevenueSeries(quarters=(Quarter(2015, 4), Quarter(2016, 1)), values=values)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite(self, value):

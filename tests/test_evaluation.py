@@ -17,7 +17,7 @@ from aspectcast.evaluation import (
     score_row,
     theils_u,
 )
-from aspectcast.models import ForecasterSpec
+from aspectcast.models import FitError, ForecasterSpec
 
 from test_linear import matrix
 
@@ -111,6 +111,15 @@ class TestTheilsU:
         with pytest.raises(MetricError, match="undefined"):
             theils_u([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], "U2", history=1.0)
 
+    def test_u1_all_zero_undefined(self):
+        with pytest.raises(MetricError, match="undefined"):
+            theils_u([0.0, 0.0], [0.0, 0.0], "U1")
+
+    @pytest.mark.parametrize("history", [1.0, None])
+    def test_constant_actual_predicted_exactly_is_zero(self, history):
+        # no change to beat and no error to make: U2 reads 0, not 0/0
+        assert theils_u([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], "U2", history=history) == 0.0
+
     def test_unknown_variant(self):
         with pytest.raises(MetricError, match="variant"):
             theils_u([1.0, 2.0], [1.0, 2.0], "U3")
@@ -149,9 +158,9 @@ class TestBacktest:
         train_mean = np.mean(m.y[:8])
         assert np.allclose(row.predicted, train_mean, atol=1e-8)
 
-    def test_failure_wrapped(self):
+    def test_fit_failure_raises_the_fit_error(self):
         m = self.make_line_matrix(n=2)  # one-row training set cannot fit OLS
-        with pytest.raises(MetricError, match="failed to fit"):
+        with pytest.raises(FitError, match=r"^too few rows \(1\) for 1 features; need at least 2$"):
             backtest(ForecasterSpec("lr", label="LR"), m)
 
 

@@ -159,6 +159,14 @@ class TestAssemble:
             FeatureMatrix.from_csv(f"{header}\n2016Q9,x\n2016Q9,x\n".encode())
         assert str(caught.value) == problem
 
+    @pytest.mark.parametrize("X, y, problem", [
+        (np.zeros((2, 2)), np.zeros(2), "matrix shape does not match quarters/columns"),
+        (np.zeros((2, 1)), np.zeros(3), "target length does not match quarters"),
+    ])
+    def test_built_mis_shaped(self, X, y, problem):
+        with pytest.raises(FeatureError, match=f"^{problem}$"):
+            FeatureMatrix(quarters=[Quarter(2016, 1), Quarter(2016, 2)], columns=["a"], X=X, y=y)
+
 
 class TestChronologicalSplit:
     def make_matrix(self, n):

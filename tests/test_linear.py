@@ -144,3 +144,7 @@ class TestSerialization:
         model = fit_lr(m)
         clone = model_from_json(model_to_json(model))
         assert np.array_equal(clone.predict(m), model.predict(m))
+
+    def test_not_a_model(self):
+        with pytest.raises(FitError, match="^cannot serialize model of type object$"):
+            model_to_json(object())

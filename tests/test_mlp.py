@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from aspectcast.models import FitError, MlpSpec, fit_mlp
+from aspectcast.models import mlp as mlp_mod
 from aspectcast.models.mlp import mlp_residual_fn, _pack
 from aspectcast.models.serialize import model_from_json, model_to_json
-from aspectcast.optimize import half_sse, lm_step, numeric_jacobian
+from aspectcast.optimize import OptimizerStalled, half_sse, lm_step, numeric_jacobian
 
 from test_linear import matrix
 
@@ -78,6 +79,24 @@ class TestTraining:
         returned_val = half_sse(r)
         for _, _, v in model.trace:
             assert returned_val <= v + 1e-12
+
+    def test_stall_ends_training(self, monkeypatch):
+        # an lm_step that finds no acceptable step ends training like the epoch limit does
+        steps = []
+
+        def stalling_step(*args):
+            if len(steps) == 3:
+                raise OptimizerStalled("no acceptable step")
+            steps.append(None)
+            return lm_step(*args)
+
+        m = toy_matrix()
+        spec = MlpSpec(hidden_size=2, max_epochs=20, validation_patience=20, seed=5)
+        expected = fit_mlp(m, MlpSpec(hidden_size=2, max_epochs=3, validation_patience=20, seed=5))
+        monkeypatch.setattr(mlp_mod, "lm_step", stalling_step)
+        model = fit_mlp(m, spec)
+        assert len(model.trace) == 3
+        assert model_to_json(model) == model_to_json(expected)
 
     def test_too_few_rows(self):
         with pytest.raises(FitError):

@@ -49,6 +49,15 @@ class TestLmStep:
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
         assert errors[-1] < errors[0]
 
+    def test_singular_damped_system_raises_the_damping(self):
+        # 1 + 1e-20 == 1, so J'J + lam*I = [[1, 1], [1, 1]] is singular until lam nears 1e-15
+        def fn(p):
+            return np.array([p[0] + p[1] - 1.0]), np.array([[1.0, 1.0]])
+
+        x, lam, err = lm_step(np.zeros(2), fn, lam=1e-20)
+        assert np.allclose(x, [0.5, 0.5], atol=1e-12)
+        assert lam == 1e-15 and err < 1e-30
+
     def test_stall_raises(self):
         def fn(p):
             # error cannot decrease along the suggested direction

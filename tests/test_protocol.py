@@ -42,6 +42,7 @@ class TestForecasterSpec:
         ("svr", {"gama": 2.0}, "unknown keys ['gama']"),
         ("mlp", {"hidden_size": 0}, "hidden_size must be an integer >= 1, got 0"),
         ("lr", {"seed": 1}, "unknown keys ['seed']"),  # a spec argument is not a param
+        ("bogus", {}, "unknown model kind: 'bogus'"),
     ])
     def test_bad_param_is_a_fit_error(self, kind, params, problem):
         with pytest.raises(FitError, match=re.escape(problem)):

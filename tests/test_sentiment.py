@@ -41,6 +41,12 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="^line 2: expected token<TAB>valence$"):
             load_lexicon(b"good\t1.9\nbad -1.5\n")
 
+    def test_blank_lines_skipped(self):
+        # a skipped line still counts toward the line an error names
+        assert load_lexicon(b"good\t1.9\n\n \t \nbad\t-2.5\n") == {"good": 1.9, "bad": -2.5}
+        with pytest.raises(LexiconError, match="^line 3: expected token<TAB>valence$"):
+            load_lexicon(b"good\t1.9\n\nbad -1.5\n")
+
     def test_later_duplicate_wins(self):
         assert load_lexicon(b"ok\t0.5\nok\t0.9") == {"ok": 0.9}
 

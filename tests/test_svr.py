@@ -57,6 +57,11 @@ class TestDualSolver:
         assert abs(beta.sum()) < 1e-9
         assert np.sum(alpha + alpha_star) == pytest.approx(0.5, abs=1e-9)
 
+    def test_no_convergence_raises(self):
+        K = rbf_kernel(FIVE_X, FIVE_X, 1.0)
+        with pytest.raises(FitError, match="nu-SVR solver did not converge; final KKT violation"):
+            solve_nusvr_dual(K, FIVE_Y, 1.0, 0.5, max_iter=1)
+
     def test_box_bounds(self):
         C, n = 1.0, 5
         K = rbf_kernel(FIVE_X, FIVE_X, 1.0)
@@ -72,6 +77,34 @@ class TestFitNusvr:
         model = fit_nusvr(m, SvrSpec(gamma=1.0, nu=0.5, C=1.0))
         pred = model.predict(m)
         assert np.allclose(pred, 0.7, atol=model.epsilon + 1e-6)
+
+    def test_identical_points_different_targets(self):
+        # a zero-curvature pair: the step is bounded by the box, not by eta = 0
+        m = matrix(np.zeros((2, 1)), [0.0, 1.0])
+        model = fit_nusvr(m, SvrSpec(gamma=1.0, nu=0.5, C=1.0))
+        assert model.predict(m).tolist() == [0.5, 0.5]
+        assert model.epsilon == 0.5
+
+    def test_vanishing_nu_is_the_widest_tube(self):
+        # no variable can move, so the bias is the midpoint and the tube covers every target
+        model = fit_nusvr(matrix(FIVE_X, FIVE_Y), SvrSpec(gamma=1.0, nu=1e-300, C=1.0))
+        assert model.predict(matrix(FIVE_X, FIVE_Y)) == pytest.approx(np.full(5, 0.05), abs=1e-15)
+        assert model.epsilon == pytest.approx(0.35, abs=1e-15)
+        assert model.kkt_violation == 0.0
+
+    @pytest.mark.parametrize("C, rows", [(1e-12, 5), (1e-300, 5), (1e-9, 5), (4e-10, 2)])
+    def test_C_too_small_for_the_rows(self, C, rows):
+        m = matrix(FIVE_X[:rows], FIVE_Y[:rows])
+        with pytest.raises(FitError, match=f"^C = {C:g} is too small for {rows} rows: C / rows must exceed 2e-10$"):
+            fit_nusvr(m, SvrSpec(C=C))
+
+    def test_one_row(self):
+        with pytest.raises(FitError, match="^need at least 2 rows to fit nu-SVR$"):
+            fit_nusvr(matrix(FIVE_X[:1], FIVE_Y[:1]))
+
+    def test_C_just_above_the_bound_fits(self):
+        model = fit_nusvr(matrix(FIVE_X, FIVE_Y), SvrSpec(C=1.001e-9))
+        assert np.all(np.isfinite(model.predict(matrix(FIVE_X, FIVE_Y))))
 
     def test_constant_targets(self):
         rng = np.random.default_rng(0)
