@@ -13,7 +13,7 @@ from . import evaluation as eval_mod
 from . import features as features_mod
 from .models import SPECS, ForecasterSpec, fit_spec, model_from_json, model_to_json, predict_with
 from .pipeline import (PipelineConfig, StageError, build_features, build_matrix, load_inputs,
-                       read_input, run_pipeline, score_reviews)
+                       read_input, run_pipeline, score_reviews, stage)
 from .schema import json_object
 
 
@@ -80,10 +80,7 @@ def cmd_fit(args) -> None:
         raise StageError("fit", f"--params: malformed JSON ({e})") from None
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise StageError("fit", "--params nested too deeply to parse") from None
-    try:
-        model = fit_spec(ForecasterSpec(args.kind, params=params, seed=cfg.seed), matrix)
-    except Exception as e:
-        raise StageError("fit", str(e)) from None
+    model = fit_spec(ForecasterSpec(args.kind, params=params, seed=cfg.seed), matrix)
     _write(cfg.out, f"model_{args.kind}.json", model_to_json(model))
 
 
@@ -91,10 +88,7 @@ def cmd_predict(args) -> None:
     cfg = _load_config(args)
     model = read_input("predict", args.model, model_from_json)
     matrix = _read_features(args)
-    try:
-        predicted = predict_with(model, matrix)
-    except Exception as e:
-        raise StageError("predict", str(e)) from None
+    predicted = predict_with(model, matrix)
     _write(cfg.out, "predictions.csv", corpus_mod.csv_bytes(
         ["quarter", "predicted"],
         ([str(q), f"{float(v):.{eval_mod.REPORT_DECIMALS}f}"] for q, v in zip(matrix.quarters, predicted))))
@@ -109,10 +103,8 @@ def cmd_evaluate(args) -> None:
     missing = [str(q) for q in matrix.quarters if q not in predicted]
     if missing:
         raise StageError("evaluate", f"predictions missing quarters: {missing}")
-    try:
+    with stage("evaluate", f"{args.label}: "):
         rows = [eval_mod.score_row(args.label, matrix, [predicted[q] for q in matrix.quarters])]
-    except eval_mod.MetricError as e:
-        raise StageError("evaluate", f"{args.label}: {e}") from None
     _write(cfg.out, "report.csv", eval_mod.emit_report_csv(rows))
     _write(cfg.out, "report.json", eval_mod.emit_report_json(rows))
 
@@ -172,12 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        with stage(args.command):
+            args.fn(args)
     except StageError as e:
         print(f"error {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
-        print(f"error [{args.command}] {e}", file=sys.stderr)
         return 1
     return 0
 

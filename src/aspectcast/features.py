@@ -97,6 +97,11 @@ class FeatureMatrix:
             raise FeatureError("matrix shape does not match quarters/columns")
         if self.y.shape != (len(self.quarters),):
             raise FeatureError("target length does not match quarters")
+        values = np.column_stack([self.X, self.y])
+        if not np.isfinite(values).all():  # LR and SVR would forecast non-finite values, the MLP not train
+            row, col = np.argwhere(~np.isfinite(values))[0]
+            name = [*self.columns, "target"][col]
+            raise FeatureError(f"{name} of {self.quarters[row]} is not finite: {values[row, col]}")
         for prev, cur in zip(self.quarters, self.quarters[1:]):
             if cur <= prev:  # chronological_split takes row order as time
                 raise FeatureError(f"quarters must strictly ascend: {cur} follows {prev}")

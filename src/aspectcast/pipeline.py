@@ -21,7 +21,7 @@ from .features import SPLIT_RATIO, FeatureMatrix, GrowthSeries
 from .models import SPECS, ForecasterSpec
 from .schema import Key, json_object, key, keys, validate
 
-__all__ = ["PipelineConfig", "StageError", "read_input", "load_inputs", "score_reviews",
+__all__ = ["PipelineConfig", "StageError", "stage", "read_input", "load_inputs", "score_reviews",
            "build_perceptions", "build_features", "build_matrix", "model_run", "run_pipeline",
            "DEFAULT_MODELS"]
 
@@ -31,7 +31,6 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 # Table-3-shaped default: the objective baseline plus each subjective model
@@ -142,25 +141,28 @@ def model_run(entry, aspect_ids: tuple, seed: int) -> tuple[ForecasterSpec, tupl
 
 
 @contextmanager
-def _input_errors(stage: str, path):
-    """Reading or parsing the file at ``path`` fails ``stage`` naming ``path``."""
+def stage(name: str, subject: str = ""):
+    """An ``OSError`` or ``ValueError`` inside fails stage ``name``, its message after ``subject``.
+
+    Any other exception is a program fault and propagates as it is.
+    """
     try:
         yield
     except UnicodeDecodeError as e:
-        raise StageError(stage, f"{path}: not valid UTF-8 ({e.reason})") from None
+        raise StageError(name, f"{subject}not valid UTF-8 ({e.reason})") from None
     except (OSError, ValueError) as e:
-        raise StageError(stage, f"{path}: {e}") from None
-    except RecursionError:  # json's decoders recurse once per level of nesting
-        raise StageError(stage, f"{path}: nested too deeply to parse") from None
+        raise StageError(name, f"{subject}{e}") from None
+    except RecursionError:  # json's decoders are the only recursion in the program
+        raise StageError(name, f"{subject}nested too deeply to parse") from None
 
 
-def read_input(stage: str, path, parse):
+def read_input(name: str, path, parse):
     """``parse`` of the bytes of the file at ``path``.
 
-    A file that cannot be read, is not UTF-8 or does not parse fails
-    ``stage`` with an error that names ``path``.
+    A file that cannot be read, is not UTF-8 or does not parse fails stage
+    ``name`` with an error that names ``path``.
     """
-    with _input_errors(stage, path):
+    with stage(name, f"{path}: "):
         return parse(Path(path).read_bytes())
 
 
@@ -175,7 +177,7 @@ class _ReviewStream:
         self._file, self._path, self._format = file, path, format
 
     def __iter__(self):
-        with self._file, _input_errors("ingest", self._path):
+        with self._file, stage("ingest", f"{self._path}: "):
             yield from corpus_mod.iter_reviews(self._file, self._format)
 
     def close(self):
@@ -192,7 +194,7 @@ def load_inputs(cfg: PipelineConfig):
     read and parsed here. A reviews path ending in ``.csv`` is read as CSV,
     any other as JSONL.
     """
-    with _input_errors("ingest", cfg.reviews):
+    with stage("ingest", f"{cfg.reviews}: "):
         reviews_file = Path(cfg.reviews).open("rb")
     try:
         revenue = read_input("ingest", cfg.revenue, corpus_mod.parse_revenue)
@@ -277,24 +279,20 @@ def build_features(reviews, revenue, vocab, lexicon, heuristics):
     Takes ``load_inputs``'s tuple; any aspect set's matrix is assembled from
     the result by ``build_matrix``.
     """
-    try:
+    with stage("features"):
         # reviews first: a stream's errors come before the revenue's, and it is
         # never left unread
         perceptions = build_perceptions(reviews, vocab, lexicon, heuristics)
         growth = features_mod.revenue_growth(revenue)
-    except ValueError as e:  # FeatureError included
-        raise StageError("features", str(e)) from None
     return growth, perceptions
 
 
 def build_matrix(cfg: PipelineConfig, growth: GrowthSeries, perceptions,
                  aspect_ids=None) -> FeatureMatrix:
     """The design matrix of ``aspect_ids`` (default ``cfg.aspects``; ``()`` is lag only)."""
-    try:
+    with stage("features"):
         return features_mod.assemble(perceptions, growth, cfg.aspects if aspect_ids is None else aspect_ids,
                                      cfg.include_lag)
-    except ValueError as e:
-        raise StageError("features", str(e)) from None
 
 
 def run_pipeline(cfg: PipelineConfig) -> list[EvalRow]:
@@ -305,8 +303,6 @@ def run_pipeline(cfg: PipelineConfig) -> list[EvalRow]:
     for spec, aspect_ids in cfg.models:
         if aspect_ids not in matrices:
             matrices[aspect_ids] = build_matrix(cfg, growth, perceptions, aspect_ids)
-        try:
+        with stage("fit", f"model {spec.label!r}: "):  # backtest's errors do not name the model
             rows.append(backtest(spec, matrices[aspect_ids], cfg.split_ratio, growth=growth))
-        except Exception as e:  # backtest's errors do not name the model
-            raise StageError("fit", f"model {spec.label!r}: {e}") from None
     return rows

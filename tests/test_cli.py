@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import aspectcast
+from aspectcast import cli, pipeline
 from aspectcast.cli import build_parser, main
 from aspectcast.corpus import parse_reviews
 from aspectcast.pipeline import PipelineConfig
@@ -788,6 +789,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "error [fit] model 'LR': too few rows" in err
         assert err.count("'LR'") == 1
+
+    @pytest.mark.parametrize("command, module, name", [("pipeline", pipeline, "backtest"), ("fit", cli, "fit_spec")])
+    def test_program_fault_propagates(self, tmp_path, monkeypatch, command, module, name):
+        # only an OSError or ValueError becomes an `error [stage]` line; any
+        # other exception is a fault of the program and keeps its traceback
+        config = write_small_corpus(tmp_path)
+        out = tmp_path / "out"
+        if command == "pipeline":
+            args = ["pipeline", "--config", str(config)]
+        else:
+            main(["features", "--config", str(config), "--out", str(out)])
+            args = ["fit", "--features", str(out / "features.csv"), "--kind", "lr"]
+
+        def fault(*_, **__):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(module, name, fault)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            main([*args, "--out", str(out)])
 
     @pytest.mark.parametrize("command", ["pipeline", "fit"])
     def test_svr_C_too_small_for_the_rows(self, tmp_path, capsys, command):

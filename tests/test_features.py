@@ -162,6 +162,10 @@ class TestAssemble:
     @pytest.mark.parametrize("X, y, problem", [
         (np.zeros((2, 2)), np.zeros(2), "matrix shape does not match quarters/columns"),
         (np.zeros((2, 1)), np.zeros(3), "target length does not match quarters"),
+        (np.array([[0.0], [np.inf]]), np.zeros(2), "a of 2016Q2 is not finite: inf"),
+        (np.array([[np.nan], [0.0]]), np.zeros(2), "a of 2016Q1 is not finite: nan"),
+        (np.zeros((2, 1)), np.array([0.0, -np.inf]), "target of 2016Q2 is not finite: -inf"),
+        (np.zeros((2, 1)), np.array([np.nan, 0.0]), "target of 2016Q1 is not finite: nan"),
     ])
     def test_built_mis_shaped(self, X, y, problem):
         with pytest.raises(FeatureError, match=f"^{problem}$"):
