@@ -11,7 +11,7 @@ from .. import schema
 from ..features import FeatureMatrix, GrowthSeries
 from .arima import ArimaModel, ArimaSpec, fit_arima, forecast_arima
 from .linear import FitError, LinearModel, LrSpec, fit_lr, predict_lr
-from .mlp import MlpModel, MlpSpec, fit_mlp, mlp_residual_fn
+from .mlp import SEED, MlpModel, MlpSpec, fit_mlp, mlp_residual_fn
 from .serialize import model_from_json, model_to_json
 from .svr import SvrModel, SvrSpec, fit_nusvr, rbf_kernel
 
@@ -49,7 +49,7 @@ class ForecasterSpec:
     """One model configuration: kind, label, kind-specific params, seed.
 
     ``params`` is checked against the keys its kind declares and its defaults
-    are filled in; a bad kind or param raises ``FitError``.
+    are filled in; a bad kind, param or seed raises ``FitError``.
     """
 
     kind: str
@@ -60,6 +60,7 @@ class ForecasterSpec:
     def __post_init__(self):
         if self.kind not in SPECS:
             raise FitError(f"unknown model kind: {self.kind!r}")
+        schema.validate((SEED,), {"seed": self.seed}, FitError)
         object.__setattr__(self, "label", self.label or self.kind)
         object.__setattr__(self, "params", schema.validate(schema.keys(SPECS[self.kind]), self.params, FitError))
 

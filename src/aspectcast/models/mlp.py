@@ -8,15 +8,19 @@ mapped back, so the sigmoid output can represent negative growth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from ..features import FeatureMatrix
 from ..optimize import LAM_MAX, lm_step, half_sse, OptimizerStalled
-from ..schema import check_fields, key
+from ..schema import Key, check_fields, key, validate
 from .linear import FitError
 
 __all__ = ["MlpModel", "MlpSpec", "fit_mlp", "mlp_residual_fn"]
+
+# what a fit's seed may be: ForecasterSpec checks it too
+SEED = Key("int", low=0, name="seed")
 
 
 def _sigmoid(x):
@@ -112,16 +116,106 @@ def mlp_residual_fn(X: np.ndarray, t: np.ndarray, H: int):
     return fn
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """PCG64's 128-bit (state, increment) inputs as NumPy's SeedSequence(seed) makes them.
+
+    The seed's 32-bit words, least significant first, are hashed into a pool
+    of four words, which is hashed out into four 64-bit words.
+    """
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    halves = []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    w = [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _pcg64(seed: int):
+    """The 64-bit outputs of NumPy's ``PCG64(seed)``: a 128-bit LCG with XSL-RR output."""
+    state, inc = _seed_state(seed)
+    inc = inc << 1 & _MASK128 | 1
+    state = (inc + state) * _PCG_MULT + inc & _MASK128
+    while True:
+        state = state * _PCG_MULT + inc & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        yield (word >> rot | word << 64 - rot) & _MASK64
+
+
+def _seeded_draws(seed: int, n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A row order and initial weights, bit for bit ``rng.permutation(n)`` and then
+    ``rng.uniform(-0.5, 0.5, size)`` of NumPy's ``rng = default_rng(seed)``.
+
+    The order is a Fisher-Yates shuffle whose indices are masked 32-bit draws,
+    each 64-bit output giving its low half and then its high half, with
+    out-of-range draws rejected; each weight uses one whole 64-bit output.
+    """
+    outputs = _pcg64(seed)
+    halves = (half for word in outputs for half in (word & _MASK32, word >> 32))
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(halves) & mask
+        while j > i:
+            j = next(halves) & mask
+        order[i], order[j] = order[j], order[i]
+    weights = [-0.5 + 1.0 * ((word >> 11) * 2.0**-53) for word in islice(outputs, size)]
+    return np.array(order), np.array(weights)
+
+
 def fit_mlp(train: FeatureMatrix, spec: MlpSpec | None = None) -> MlpModel:
-    """Train with LM on a seeded 70/15/15 row split, keeping best-validation weights."""
+    """Train with LM on a seeded 70/15/15 row split, keeping best-validation weights.
+
+    The split and the initial weights are aspectcast's own draws, which today
+    equal NumPy's ``default_rng(seed)``'s (see ``_seeded_draws``), so a
+    fit does not depend on NumPy's Generator stream. A seed that is not an
+    int >= 0 raises ``FitError``.
+    """
     spec = spec or MlpSpec()
     check_fields(spec, FitError)
+    validate((SEED,), {"seed": spec.seed}, FitError)
     if train.n_rows < 5:
         raise FitError(f"need at least 5 rows to train the perceptron, got {train.n_rows}")
 
-    rng = np.random.default_rng(spec.seed)
     n = train.n_rows
-    order = rng.permutation(n)
+    X = train.X
+    k = X.shape[1]
+    H = spec.hidden_size
+    order, params = _seeded_draws(spec.seed, n, H * k + 2 * H + 1)
     n_val = max(1, int(round(0.15 * n)))
     n_hold = max(1, int(round(0.15 * n)))
     n_train = n - n_val - n_hold  # at least 3, as n >= 5
@@ -134,11 +228,6 @@ def fit_mlp(train: FeatureMatrix, spec: MlpSpec | None = None) -> MlpModel:
     scale = spread / 0.6 if spread > 0 else 1.0
     offset = ymin - 0.2 * scale
     t_all = (train.y - offset) / scale
-
-    X = train.X
-    k = X.shape[1]
-    H = spec.hidden_size
-    params = rng.uniform(-0.5, 0.5, size=H * k + 2 * H + 1)
 
     # lm_step builds the Jacobian only at the point each step starts from
     fn_train = _lazy_residual_fn(X[idx_train], t_all[idx_train], H)

@@ -8,6 +8,8 @@ points. The objective throughout is half the sum of squared residuals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["OptimizerStalled", "lm_step", "lm_minimize", "numeric_jacobian", "numeric_jacobian_rows"]
@@ -25,6 +27,11 @@ def half_sse(residuals: np.ndarray) -> float:
 LAM_MAX = 1e12  # the largest damping lm_step tries
 
 
+def _check_damping(name: str, lam) -> None:
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {lam!r}")
+
+
 def lm_step(params, residual_fn, lam):
     """One damped Gauss-Newton step.
 
@@ -32,8 +39,10 @@ def lm_step(params, residual_fn, lam):
     error is accepted and lam is divided by 10; otherwise lam is multiplied
     by 10 and the solve retried, up to LAM_MAX.
 
-    Returns (new_params, new_lam, new_error).
+    Returns (new_params, new_lam, new_error). ``lam`` must be finite and
+    positive: tenfold growth never lifts 0 or a negative lam to LAM_MAX.
     """
+    _check_damping("lam", lam)
     params = np.asarray(params, dtype=float)
     r, J = residual_fn(params)
     if callable(J):
@@ -43,13 +52,15 @@ def lm_step(params, residual_fn, lam):
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(J))):
         raise OptimizerStalled("non-finite residuals or Jacobian")
     err = half_sse(r)
-    A = J.T @ J
+    # the same bits as A + lam * I on every trial: a + lam * 0.0 off the
+    # diagonal, and (a + lam * 0.0) + lam == a + lam on it; lam stays
+    # positive, so lam * 0.0 is +0.0 throughout the step
+    damped = J.T @ J
+    damped += lam * 0.0
+    undamped = damped.diagonal().copy()
     g = J.T @ r
     while lam <= LAM_MAX:
-        # the same bits as A + lam * I for any finite lam: a + lam * 0.0 off
-        # the diagonal, and (a + lam * 0.0) + lam == a + lam on it
-        damped = A + lam * 0.0
-        damped.flat[:: len(params) + 1] += lam
+        damped.flat[:: len(params) + 1] = undamped + lam
         try:
             delta = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:
@@ -66,6 +77,7 @@ def lm_step(params, residual_fn, lam):
 
 def lm_minimize(params, residual_fn, lam0=1e-3, max_steps=200, tol=1e-12):
     """Iterate lm_step until the error improvement stalls or max_steps is hit."""
+    _check_damping("lam0", lam0)
     params = np.asarray(params, dtype=float)
     lam = lam0
     r, _ = residual_fn(params)

@@ -387,15 +387,30 @@ import aspectcast
 print(json.dumps(sorted(n for n in vars(aspectcast) if not n.startswith("_") or n == "__version__")))
 """
 
+# Runs the default pipeline on the bundled corpus, whose ANN rows draw their
+# seeded split and weights, printing the numpy.random and secrets modules
+# loaded by then.
+PIPELINE_RANDOM = """
+import json, sys, tempfile
+from aspectcast import cli
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["pipeline", "--out", out]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "secrets" or m.split(".")[:2] == ["numpy", "random"])))
+"""
+
+
+def run_fresh(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter that imports this aspectcast."""
+    src = str(Path(aspectcast.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
 
 class TestColdStart:
     def test_stepwise_fit_never_loads_scipy(self):
-        src = str(Path(aspectcast.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        loaded, kept = json.loads(done.stdout)
+        loaded, kept = run_fresh(COLD_START)
         # the p-values come from the standard library: importing scipy.special
         # would cost about 24 MiB of resident memory
         assert loaded == []
@@ -403,21 +418,17 @@ class TestColdStart:
         assert all(0 < n < total for n, total in kept), kept
 
     def test_default_path_never_loads_scipy(self):
-        src = str(Path(aspectcast.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        done = subprocess.run([sys.executable, "-c", COLD_START_DEFAULT], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
         # only stepwise selection reads p-values, and no default model selects
-        assert json.loads(done.stdout) == []
+        assert run_fresh(COLD_START_DEFAULT) == []
 
     def test_package_root_holds_only_the_version(self):
         # each name has one import path, its own submodule's
-        src = str(Path(aspectcast.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", PACKAGE_ROOT], env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=120, check=True)
-        assert json.loads(done.stdout) == ["__version__"]
+        assert run_fresh(PACKAGE_ROOT) == ["__version__"]
+
+    def test_pipeline_never_loads_numpy_random(self):
+        # fit_mlp makes its own draws: numpy.random would cost about 6 MiB of
+        # resident memory and pull in secrets, hmac and base64
+        assert run_fresh(PIPELINE_RANDOM) == []
 
 
 class TestErrors:

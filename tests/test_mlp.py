@@ -113,3 +113,34 @@ class TestTraining:
         model = fit_mlp(m, MlpSpec(hidden_size=2, max_epochs=10, seed=4))
         clone = model_from_json(model_to_json(model))
         assert np.array_equal(clone.predict(m), model.predict(m))
+
+    @pytest.mark.parametrize("seed", [-1, True, "3", 2.0])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(FitError, match=r"seed must be an integer >= 0, got "):
+            fit_mlp(toy_matrix(), MlpSpec(hidden_size=2, max_epochs=1, seed=seed))
+
+
+class TestSeededDraws:
+    """fit_mlp draws its row order and initial weights itself, bit for bit as
+    ``default_rng(seed).permutation(n)`` and then ``.uniform(-0.5, 0.5, size)``."""
+
+    SEEDS = [*range(200), 2**32, 2**64 + 3, 2**100 + 12345]
+
+    @pytest.mark.parametrize("n, size", [(1, 10), (5, 3), (21, 191), (33, 381), (300, 7)])
+    def test_equal_numpy_generator(self, n, size):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            order = rng.permutation(n)
+            weights = rng.uniform(-0.5, 0.5, size)
+            got_order, got_weights = mlp_mod._seeded_draws(seed, n, size)
+            assert got_order.tolist() == order.tolist(), seed
+            assert got_weights.tobytes() == weights.tobytes(), seed
+
+    def test_frozen_first_draws(self):
+        # seed 0's draws as NumPy 2.4 made them: if NumPy's Generator stream
+        # changes, the check above fails and this one still holds
+        order, weights = mlp_mod._seeded_draws(0, 21, 5)
+        assert order.tolist() == [10, 18, 16, 4, 2, 12, 6, 19, 3, 11, 8, 0, 17, 13, 7, 20, 5, 14, 9, 1, 15]
+        assert [w.hex() for w in weights.tolist()] == [
+            "-0x1.3cac53084d930p-4", "-0x1.e3002b0a63158p-2", "-0x1.80bbe27ffa84ep-2",
+            "0x1.5d70554810f74p-3", "0x1.2d71b1d434770p-3"]

@@ -66,6 +66,72 @@ class TestLmStep:
         with pytest.raises(OptimizerStalled):
             lm_step(np.zeros(1), fn, lam=1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, np.nan, np.inf])
+    def test_refuses_a_damping_that_tenfold_growth_cannot_raise(self, lam):
+        # a refused step multiplies lam by 10, which leaves 0 at 0 and a negative lam negative
+        def fn(p):
+            return np.ones(3), np.zeros((3, 2))
+
+        with pytest.raises(ValueError, match=r"lam must be finite and > 0, got "):
+            lm_step(np.zeros(2), fn, lam)
+        with pytest.raises(ValueError, match=r"lam0 must be finite and > 0, got "):
+            lm_minimize(np.zeros(2), fn, lam0=lam)
+
+
+def bits(step):
+    params, lam, err = step
+    return params.tobytes(), lam, repr(err)
+
+
+class TestOneDampedMatrixPerStep:
+    """lm_step damps J'J in place, rewriting only its diagonal on each trial,
+    and takes the same steps as a fresh J'J + lam * I per trial."""
+
+    def retried_steps(self, fn, params, lam, count):
+        """How many of ``count`` steps, each bit for bit the reference's, tried more than one lam."""
+        ref = got = (np.asarray(params, dtype=float), lam, None)
+        retried = 0
+        for _ in range(count):
+            ref = reference_lm_step(ref[0], fn, ref[1])
+            lam = got[1]
+            got = lm_step(got[0], fn, lam)
+            assert bits(got) == bits(ref)
+            retried += got[1] >= lam  # an accepted trial returns its lam / 10
+        return retried
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_signed_zeros_in_the_jacobian(self, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=(12, 6))
+        W[rng.random(W.shape) < 0.3] = -0.0
+        W[:, 2] = -0.0
+        b = rng.uniform(-0.5, 0.5, size=12)
+
+        def fn(p):  # tanh(W p) - b, so large first steps are refused
+            z = np.tanh(W @ p)
+            return z - b, (1.0 - z * z)[:, None] * W
+
+        p0 = rng.normal(scale=3.0, size=6)
+        assert self.retried_steps(fn, p0, 1e-9, 15) > 0
+
+    def test_singular_first_trial(self):
+        # J'J = [[1e20, 1e20], [1e20, 1e20]] absorbs a small lam exactly, so the
+        # first trials raise LinAlgError until lam reaches the spacing of 1e20
+        def fn(p):
+            return np.array([1e10 * (p[0] + p[1]) - 1.0]), np.array([[1e10, 1e10]])
+
+        A = np.array([[1e10, 1e10]]).T @ np.array([[1e10, 1e10]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A + 1e-3 * np.eye(2), np.ones(2))
+        assert self.retried_steps(fn, np.zeros(2), 1e-3, 1) == 1
+
+    def test_largest_perceptron(self):
+        # ANN-h20-16: 20 hidden units over 17 columns are 381 parameters, trained on 15 rows
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(15, 17))
+        fn = mlp_mod.mlp_residual_fn(X, rng.uniform(0.2, 0.8, size=15), 20)
+        self.retried_steps(fn, rng.uniform(-0.5, 0.5, size=381), 1e-3, 6)
+
 
 def rosenbrock(p):
     x, y = p

@@ -48,6 +48,16 @@ class TestForecasterSpec:
         with pytest.raises(FitError, match=re.escape(problem)):
             ForecasterSpec(kind, params=params)
 
+    @pytest.mark.parametrize("seed, problem", [
+        (-1, "seed must be an integer >= 0, got -1"),
+        (True, "seed must be an integer >= 0, got True"),  # not seed 1
+        ("3", "seed must be an integer >= 0, got '3'"),
+    ])
+    def test_bad_seed_is_a_fit_error(self, seed, problem):
+        for kind in ("mlp", "lr"):
+            with pytest.raises(FitError, match=re.escape(problem)):
+                ForecasterSpec(kind, seed=seed)
+
 
 class TestArimaHistory:
     spec = ForecasterSpec("arima", params={"orders": (0, 0, 0)})
